@@ -185,7 +185,7 @@ func StepLowerBound(pm PortModel, n, m int) int { return core.StepLowerBound(pm,
 // SimulateMany executes several multicast trees concurrently on one shared
 // interconnect, measuring cross-multicast interference.
 func SimulateMany(p MachineParams, trees []*Tree, bytes int) []MachineResult {
-	return ncube.RunMany(p, trees, bytes)
+	return ncube.RunMany(p, trees, bytes, ncube.Instrumentation{})
 }
 
 // SimulateBatch executes independent multicast trees — each on its own
@@ -193,7 +193,7 @@ func SimulateMany(p MachineParams, trees []*Tree, bytes int) []MachineResult {
 // workers, returning results in tree order. Every result is byte-identical
 // to Simulate on the same tree at any worker count.
 func SimulateBatch(p MachineParams, trees []*Tree, bytes int) []MachineResult {
-	return ncube.RunParallel(p, trees, bytes)
+	return ncube.RunParallel(p, trees, bytes, ncube.Instrumentation{})
 }
 
 // Comm is an MPI-style communicator: an ordered process group over the
@@ -250,7 +250,7 @@ type TraceRecorder = trace.Recorder
 // SimulateTraced is Simulate with a channel-event recorder attached; use
 // rec.Gantt(cube, width) to visualize the execution.
 func SimulateTraced(p MachineParams, t *Tree, bytes int, rec *TraceRecorder) MachineResult {
-	return ncube.RunWithTracer(p, t, bytes, rec)
+	return ncube.RunInstrumented(p, t, bytes, ncube.Instrumentation{Tracer: rec})
 }
 
 // Broadcast builds a multicast tree addressing every other node of the

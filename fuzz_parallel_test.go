@@ -68,7 +68,7 @@ func FuzzParallelEquivalence(f *testing.F) {
 		}
 		// Batch path: a 3-run batch of the same tree must yield three
 		// copies of the sequential result.
-		for i, r := range ncube.RunParallel(pw, []*core.Tree{tr, tr, tr}, bytes) {
+		for i, r := range ncube.RunParallel(pw, []*core.Tree{tr, tr, tr}, bytes, ncube.Instrumentation{}) {
 			rb, _ := json.Marshal(r)
 			if string(rb) != string(wb) {
 				t.Fatalf("dim=%d alg=%v workers=%d: batch run %d diverges", dim, alg, workers, i)

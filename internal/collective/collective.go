@@ -60,13 +60,17 @@ type engine struct {
 }
 
 func newEngine(p ncube.Params, cube topology.Cube) *engine {
-	p.Validate()
+	if err := p.Err(); err != nil {
+		panic(err)
+	}
 	q := &event.Queue{}
 	return newEngineWith(q, wormhole.New(q, cube, p.NetConfig()), p, cube, nil)
 }
 
 func newEngineOn(sub Substrate) *engine {
-	sub.Params.Validate()
+	if err := sub.Params.Err(); err != nil {
+		panic(err)
+	}
 	return newEngineWith(sub.Queue, sub.Net, sub.Params, sub.Net.Cube(), sub.OnDone)
 }
 

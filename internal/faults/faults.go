@@ -139,14 +139,6 @@ func (p Plan) ErrOn(c topology.Cube) error {
 	return nil
 }
 
-// Validate panics on a malformed plan (internal call sites; the public API
-// boundary returns Err instead).
-func (p Plan) Validate() {
-	if err := p.Err(); err != nil {
-		panic(err)
-	}
-}
-
 // Injector evaluates a Plan during one run. It implements the fault hooks
 // of both network models (wormhole.FaultModel structurally, and flitsim
 // via Cycles).
@@ -163,7 +155,9 @@ type Injector struct {
 
 // New builds an injector for the plan. The plan must be well-formed.
 func New(p Plan) *Injector {
-	p.Validate()
+	if err := p.Err(); err != nil {
+		panic(err)
+	}
 	in := &Injector{
 		plan:  p,
 		rng:   rand.New(rand.NewSource(p.Seed)),

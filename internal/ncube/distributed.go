@@ -36,21 +36,15 @@ func (jp JitterParams) Err() error {
 	return nil
 }
 
-// Validate panics on a malformed configuration (internal call sites; the
-// public API boundary returns Err instead).
-func (jp JitterParams) Validate() {
-	if err := jp.Err(); err != nil {
-		panic(err)
-	}
-}
-
 // RunDistributed executes a multicast entirely through the distributed
 // protocol: no global tree exists; each node, on receiving the message's
 // address field, computes its forwarding unicasts locally
 // (core.LocalSendsAt) and transmits them, with optionally jittered
 // software overheads. This is the execution a real machine performs.
 func RunDistributed(jp JitterParams, cube topology.Cube, a core.Algorithm, src topology.NodeID, dests []topology.NodeID, bytes int) Result {
-	jp.Validate()
+	if err := jp.Err(); err != nil {
+		panic(err)
+	}
 	q := &event.Queue{}
 	net := wormhole.New(q, cube, jp.NetConfig())
 	rng := rand.New(rand.NewSource(jp.Seed))

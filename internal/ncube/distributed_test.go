@@ -98,15 +98,21 @@ func TestJitterDeterminism(t *testing.T) {
 }
 
 func TestJitterValidate(t *testing.T) {
-	for _, amt := range []float64{-0.1, 1.0, 2.5} {
-		jp := JitterParams{Params: NCube2(core.AllPort), Amount: amt}
-		func() {
-			defer func() {
-				if recover() == nil {
-					t.Errorf("jitter %v did not panic", amt)
-				}
-			}()
-			jp.Validate()
-		}()
+	for _, tc := range []struct {
+		amount float64
+		ok     bool
+	}{
+		{0, true}, {0.3, true}, {0.999, true},
+		{-0.1, false}, {1.0, false}, {2.5, false},
+	} {
+		jp := JitterParams{Params: NCube2(core.AllPort), Amount: tc.amount}
+		if err := jp.Err(); (err == nil) != tc.ok {
+			t.Errorf("amount %v: Err() = %v, want ok=%v", tc.amount, err, tc.ok)
+		}
+	}
+	bad := JitterParams{Params: NCube2(core.AllPort)}
+	bad.TRecv = -1
+	if bad.Err() == nil {
+		t.Error("jitter params accepted a malformed machine")
 	}
 }

@@ -97,23 +97,25 @@ func RunFaultTolerantInstrumented(jp JitterParams, cube topology.Cube, a core.Al
 		}
 	}
 
+	// The run borrows a session's calendar and network but keeps ftRun's
+	// standalone completion mode: it ends when the calendar drains, and
+	// TotalBlocked is the network-wide total.
+	s := NewSession(jp.Params, cube, ins)
 	inj := faults.New(plan)
+	s.SetFaults(inj)
 	r := &ftRun{
 		jp:     jp,
 		cube:   cube,
 		alg:    a,
 		src:    src,
 		bytes:  bytes,
-		q:      &event.Queue{},
+		q:      &s.q,
+		net:    s.net,
 		inj:    inj,
 		rng:    rand.New(rand.NewSource(jp.Seed)),
 		got:    make(map[topology.NodeID]bool),
 		isDest: destSet(src, dests),
 	}
-	r.net = wormhole.New(r.q, cube, jp.NetConfig())
-	r.net.SetFaults(inj)
-	r.q.SetDiagnoser(r.net.Diagnose)
-	ins.instrument(r.q, r.net)
 	ins.Metrics.Counter("mcast_runs").Inc()
 	r.initReliability()
 	r.res = &Result{
@@ -125,15 +127,15 @@ func RunFaultTolerantInstrumented(jp JitterParams, cube topology.Cube, a core.Al
 
 	r.got[src] = true // the initiator holds the message
 	r.forward(src, core.StartPayload(cube, a, src, dests), false)
-	end, werr := runQueue(r.q, jp.Workers, jp.WatchdogSteps, jp.WatchdogTime)
-	r.res.TotalBlocked = r.net.TotalBlocked()
-	// Flush open trace intervals even (especially) on a watchdog abort:
-	// a stall-mode fault run ends with channels still held, and those
-	// spans are exactly the utilization signal of interest.
-	finishTracer(ins.Tracer, end)
+	// Session.Run flushes open trace intervals even (especially) on a
+	// watchdog abort: a stall-mode fault run ends with channels still
+	// held, and those spans are exactly the utilization signal of interest.
+	werr := s.Run(jp.WatchdogSteps, jp.WatchdogTime)
+	r.res.TotalBlocked = s.net.TotalBlocked()
 	ins.Metrics.Counter("mcast_retries").Add(int64(r.res.Retries))
 	ins.Metrics.Counter("mcast_repairs").Add(int64(r.res.Repairs))
-	r.classifyUnreached(end)
+	r.classifyUnreached(s.Now())
+	s.Release()
 	return *r.res, werr
 }
 
@@ -188,11 +190,12 @@ func destSet(src topology.NodeID, dests []topology.NodeID) map[topology.NodeID]b
 }
 
 // ftRun bundles the state of one fault-tolerant execution. Standalone runs
-// (RunFaultTolerant) own their calendar and network and detect completion
-// by driving the calendar dry; session runs (Session.InjectFaultTolerant)
-// share both with concurrent operations, so they instead count their own
-// outstanding work — every scheduled callback and every in-flight message
-// — and finish when the count drains to zero.
+// (RunFaultTolerant) have a borrowed session's calendar and network to
+// themselves and detect completion by driving the calendar dry; session
+// runs (Session.InjectFaultTolerant) share both with concurrent
+// operations, so they instead count their own outstanding work — every
+// scheduled callback and every in-flight message — and finish when the
+// count drains to zero.
 type ftRun struct {
 	jp    JitterParams
 	cube  topology.Cube

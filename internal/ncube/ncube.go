@@ -16,7 +16,6 @@ package ncube
 
 import (
 	"fmt"
-	"sync"
 
 	"hypercube/internal/core"
 	"hypercube/internal/event"
@@ -142,14 +141,6 @@ func (p Params) Err() error {
 	return nil
 }
 
-// Validate panics on a malformed configuration (internal call sites; the
-// public API boundary returns Err instead).
-func (p Params) Validate() {
-	if err := p.Err(); err != nil {
-		panic(err)
-	}
-}
-
 // NetConfig projects the machine parameters onto the interconnect model:
 // timing plus the virtual-channel shape. Every network built for these
 // params must go through this, so the lane knob cannot silently drop.
@@ -250,127 +241,6 @@ func (r Result) Stats(dests []topology.NodeID) (avg, max event.Time) {
 	return sum / event.Time(len(dests)), max
 }
 
-// nodeState tracks the software/injection state of one node during a run.
-// It doubles as the node's pre-bound calendar event (event.Op): a node has
-// at most one software event pending at any instant — its receive overhead
-// completing, or the CPU setup of one send — so the node object itself
-// carries the dispatch stage and rides the calendar without per-event
-// closures.
-type nodeState struct {
-	env   *runEnv
-	sends []core.Send
-	next  int // next send to set up
-	stage int8
-}
-
-const (
-	nodeRecvDone  int8 = iota // TRecv paid; begin forwarding
-	nodeSetupDone             // TStartup paid; inject sends[next-1]
-)
-
-// RunEvent dispatches the node's pending software event.
-func (st *nodeState) RunEvent() {
-	if st.stage == nodeRecvDone {
-		st.env.issueNext(st)
-		return
-	}
-	st.env.setupDone(st)
-}
-
-// runEnv is the pooled per-run scratch of a simulation: the event calendar,
-// the interconnect (with its channel table), the per-node software states,
-// and cached callback values. Runs borrow one from envPool, so experiment
-// drivers and the serving worker pool amortize these structures across
-// runs; everything run-specific is rebound in getEnv.
-type runEnv struct {
-	q     event.Queue
-	net   *wormhole.Network
-	p     Params
-	bytes int
-	nodes nodeTable
-	res   *Result
-
-	// Method values cached once per env so the hot paths do not allocate
-	// one per send (deliver) or per run (the diagnoser).
-	deliverFn func(wormhole.Delivery)
-	diagFn    func() string
-}
-
-var envPool = sync.Pool{New: func() any { return new(runEnv) }}
-
-// getEnv borrows an env and rebinds it to one run's machine and tree.
-func getEnv(p Params, tr *core.Tree, res *Result, bytes int) *runEnv {
-	env := envPool.Get().(*runEnv)
-	cfg := p.NetConfig()
-	env.q.Reset()
-	if env.net == nil {
-		env.net = wormhole.New(&env.q, tr.Cube, cfg)
-		env.deliverFn = env.deliver
-		env.diagFn = env.net.Diagnose
-	} else {
-		env.net.Reset(&env.q, tr.Cube, cfg)
-	}
-	env.p, env.bytes, env.res = p, bytes, res
-	env.nodes.init(env, tr.Cube.Nodes())
-	for v, sends := range tr.Sends {
-		env.nodes.state(env, v).sends = sends
-	}
-	return env
-}
-
-// release scrubs run-specific references and returns the env to the pool.
-// Callers skip it when the run panicked — a half-torn-down env must not be
-// reused.
-func (env *runEnv) release() {
-	env.nodes.release()
-	env.res = nil
-	envPool.Put(env)
-}
-
-// issueNext sets up node st's next pending unicast; under the one-port
-// model the following send is issued only after this one's tail has drained
-// into the network (single DMA pair), while the all-port model overlaps
-// transmissions and is limited only by the serial per-send CPU setup.
-func (env *runEnv) issueNext(st *nodeState) {
-	if st.next >= len(st.sends) {
-		return
-	}
-	st.next++
-	st.stage = nodeSetupDone
-	env.q.AfterOp(env.p.TStartup, st)
-}
-
-// setupDone injects the unicast whose CPU setup just completed.
-func (env *runEnv) setupDone(st *nodeState) {
-	snd := st.sends[st.next-1]
-	switch env.p.Port {
-	case core.AllPort:
-		env.net.Send(snd.From, snd.To, env.bytes, env.deliverFn)
-		env.issueNext(st)
-	case core.OnePort:
-		env.net.Send(snd.From, snd.To, env.bytes, func(d wormhole.Delivery) {
-			env.deliver(d)
-			env.issueNext(st)
-		})
-	}
-}
-
-// deliver records a completed unicast and starts the receiver's software
-// overhead, after which the receiver begins its own forwarding work.
-func (env *runEnv) deliver(d wormhole.Delivery) {
-	res := env.res
-	if _, dup := res.Recv[d.To]; dup {
-		panic(fmt.Sprintf("ncube: node %v received twice", d.To))
-	}
-	res.Recv[d.To] = d.Arrived
-	if d.Arrived > res.Makespan {
-		res.Makespan = d.Arrived
-	}
-	st := env.nodes.state(env, d.To)
-	st.stage = nodeRecvDone
-	env.q.AfterOp(env.p.TRecv, st)
-}
-
 // Instrumentation bundles the optional observers of a simulation run: a
 // channel-event tracer (see the trace package) and a metrics registry
 // (event-queue, network, and protocol counters). The zero value runs
@@ -390,67 +260,28 @@ func finishTracer(t wormhole.Tracer, at event.Time) {
 	}
 }
 
-// instrument attaches ins to a freshly built queue/network pair.
-func (ins Instrumentation) instrument(q *event.Queue, net *wormhole.Network) {
-	if ins.Tracer != nil {
-		net.SetTracer(ins.Tracer)
-	}
-	if ins.Metrics != nil {
-		q.SetMetrics(ins.Metrics)
-		net.SetMetrics(ins.Metrics)
-	}
-}
-
 // Run executes the multicast tree on the simulated machine and returns the
 // per-node receipt times. The message is bytes long.
 func Run(p Params, tr *core.Tree, bytes int) Result {
 	return RunInstrumented(p, tr, bytes, Instrumentation{})
 }
 
-// RunWithTracer is Run with a channel-event observer attached to the
-// interconnect (see the trace package).
-func RunWithTracer(p Params, tr *core.Tree, bytes int, tracer wormhole.Tracer) Result {
-	return RunInstrumented(p, tr, bytes, Instrumentation{Tracer: tracer})
-}
-
-// RunInstrumented is Run with full observability attached: tracer
-// callbacks on every channel event, and metrics from the event kernel, the
+// RunInstrumented is Run with observability attached: tracer callbacks on
+// every channel event, and metrics from the event kernel, the
 // interconnect, and the multicast protocol. Instrumentation never alters
-// the simulation — results are bit-identical with and without it.
+// the simulation — results are bit-identical with and without it. The tree
+// is injected at t=0 into a borrowed Session; a run that needs a watchdog
+// budget drives the session itself (NewSession, InjectTree, Run).
 func RunInstrumented(p Params, tr *core.Tree, bytes int, ins Instrumentation) Result {
-	res, err := RunInstrumentedBudget(p, tr, bytes, ins, 0, 0)
-	if err != nil {
+	s := NewSession(p, tr.Cube, ins)
+	ins.Metrics.Counter("mcast_runs").Inc()
+	res := s.InjectTree(0, tr, bytes, nil)
+	if err := s.Run(0, 0); err != nil {
 		// With the default budgets only a simulator bug can trip the
-		// watchdog on a fault-free run; keep the panicking contract.
+		// watchdog on a fault-free run.
 		panic(err)
 	}
-	return res
-}
-
-// RunInstrumentedBudget is RunInstrumented under an explicit event-loop
-// watchdog (event.Queue.RunBudget): at most maxSteps events (<= 0 selects
-// event.DefaultMaxSteps) and no event beyond maxTime of simulated time
-// (<= 0 means unbounded). Exceeding either budget returns the partial
-// Result accumulated so far and a *event.Diagnostic carrying the network's
-// held-channel snapshot — the entry point the serving subsystem uses to
-// bound untrusted requests instead of trusting them to terminate.
-func RunInstrumentedBudget(p Params, tr *core.Tree, bytes int, ins Instrumentation, maxSteps int, maxTime event.Time) (Result, error) {
-	p.Validate()
-	res := Result{
-		Algorithm: tr.Algorithm,
-		Bytes:     bytes,
-		Recv:      make(map[topology.NodeID]event.Time),
-	}
-	env := getEnv(p, tr, &res, bytes)
-	ins.instrument(&env.q, env.net)
-	ins.Metrics.Counter("mcast_runs").Inc()
-
-	env.issueNext(env.nodes.state(env, tr.Source))
-	env.q.SetDiagnoser(env.diagFn)
-	_, err := runQueue(&env.q, p.Workers, maxSteps, maxTime)
-	res.TotalBlocked = env.net.TotalBlocked()
-	finishTracer(ins.Tracer, env.q.Now())
-	env.release()
-
-	return res, err
+	out := *res
+	s.Release()
+	return out
 }

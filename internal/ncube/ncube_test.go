@@ -236,14 +236,30 @@ func TestStatsPanicsOnMissing(t *testing.T) {
 }
 
 func TestParamsValidate(t *testing.T) {
-	bad := NCube2(core.AllPort)
-	bad.TByte = -1
-	defer func() {
-		if recover() == nil {
-			t.Error("negative params did not panic")
+	for _, tc := range []struct {
+		name string
+		mod  func(*Params)
+		ok   bool
+	}{
+		{"ncube2", func(*Params) {}, true},
+		{"reliability knobs", func(p *Params) { p.AckTimeout, p.AckBackoff, p.MaxRetries = 1, 1.5, 2 }, true},
+		{"workers", func(p *Params) { p.Workers = 8 }, true},
+		{"negative TByte", func(p *Params) { p.TByte = -1 }, false},
+		{"negative TStartup", func(p *Params) { p.TStartup = -1 }, false},
+		{"bad port", func(p *Params) { p.Port = core.PortModel(9) }, false},
+		{"negative lanes", func(p *Params) { p.Lanes = -1 }, false},
+		{"negative ack timeout", func(p *Params) { p.AckTimeout = -1 }, false},
+		{"backoff below 1", func(p *Params) { p.AckBackoff = 0.5 }, false},
+		{"negative retries", func(p *Params) { p.MaxRetries = -1 }, false},
+		{"negative watchdog", func(p *Params) { p.WatchdogSteps = -1 }, false},
+		{"negative workers", func(p *Params) { p.Workers = -1 }, false},
+	} {
+		p := NCube2(core.AllPort)
+		tc.mod(&p)
+		if err := p.Err(); (err == nil) != tc.ok {
+			t.Errorf("%s: Err() = %v, want ok=%v", tc.name, err, tc.ok)
 		}
-	}()
-	bad.Validate()
+	}
 }
 
 // Determinism: identical runs give identical results.

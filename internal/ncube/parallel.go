@@ -3,7 +3,6 @@ package ncube
 import (
 	"hypercube/internal/core"
 	"hypercube/internal/event"
-	"hypercube/internal/topology"
 )
 
 // runQueue drives one run's calendar under the configured execution mode:
@@ -23,48 +22,38 @@ func runQueue(q *event.Queue, workers, maxSteps int, maxTime event.Time) (event.
 	return pq.Run(maxSteps, maxTime)
 }
 
-// RunParallel executes a batch of independent multicast runs — one conflict
-// domain (calendar + private network) per tree — across p.Workers worker
-// goroutines and returns the results in tree order. Every run is the
+// RunParallel executes a batch of independent multicast runs — one Session
+// (calendar + private network) per tree, every session's calendar one
+// logical process of a single event.ParallelQueue — across p.Workers
+// worker goroutines and returns the results in tree order. Every run is the
 // byte-exact sequential execution of Run(p, trees[i], bytes): workers only
 // decide which OS thread drives which run, never the order of events inside
 // one. With p.Workers <= 1 the batch still routes through the parallel
 // executor on a single worker, so the batch path has one code shape at
 // every worker count.
-func RunParallel(p Params, trees []*core.Tree, bytes int) []Result {
-	return RunParallelInstrumented(p, trees, bytes, Instrumentation{})
-}
-
-// RunParallelInstrumented is RunParallel with a metrics registry attached
-// to every run (the registry is fully atomic, so concurrent runs may share
-// it — counts are identical to the sequential sum at any worker count).
-// Tracers are rejected: a tracer observes one interleaved channel-event
-// stream and is not safe to share across concurrently executing runs; trace
-// a single run with RunWithTracer instead.
-func RunParallelInstrumented(p Params, trees []*core.Tree, bytes int, ins Instrumentation) []Result {
-	p.Validate()
+//
+// A metrics registry in ins is attached to every run (the registry is
+// fully atomic, so concurrent runs may share it — counts are identical to
+// the sequential sum at any worker count). Tracers are rejected: a tracer
+// observes one interleaved channel-event stream and is not safe to share
+// across concurrently executing runs; trace single runs with
+// RunInstrumented instead.
+func RunParallel(p Params, trees []*core.Tree, bytes int, ins Instrumentation) []Result {
 	if ins.Tracer != nil {
-		panic("ncube: RunParallelInstrumented does not accept a tracer; trace single runs with RunWithTracer")
+		panic("ncube: RunParallel does not accept a tracer; trace single runs with RunInstrumented")
 	}
 	if len(trees) == 0 {
 		return nil
 	}
-
-	results := make([]Result, len(trees))
-	envs := make([]*runEnv, len(trees))
+	sessions := make([]*Session, len(trees))
+	ops := make([]*Result, len(trees))
 	pq := event.NewParallel(p.Workers, 0)
 	for i, tr := range trees {
-		results[i] = Result{
-			Algorithm: tr.Algorithm,
-			Bytes:     bytes,
-			Recv:      make(map[topology.NodeID]event.Time),
-		}
-		env := getEnv(p, tr, &results[i], bytes)
-		ins.instrument(&env.q, env.net)
-		env.issueNext(env.nodes.state(env, tr.Source))
-		env.q.SetDiagnoser(env.diagFn)
-		envs[i] = env
-		pq.Add(&env.q)
+		s := NewSession(p, tr.Cube, ins)
+		ops[i] = s.InjectTree(0, tr, bytes, nil)
+		s.q.SetDiagnoser(s.diagFn)
+		pq.Add(s.Queue())
+		sessions[i] = s
 	}
 	ins.Metrics.Counter("mcast_runs").Add(int64(len(trees)))
 
@@ -73,9 +62,10 @@ func RunParallelInstrumented(p Params, trees []*core.Tree, bytes int, ins Instru
 		// trip the watchdog. Keep RunInstrumented's panicking contract.
 		panic(err)
 	}
-	for i, env := range envs {
-		results[i].TotalBlocked = env.net.TotalBlocked()
-		env.release()
+	results := make([]Result, len(trees))
+	for i, s := range sessions {
+		results[i] = *ops[i]
+		s.Release()
 	}
 	return results
 }

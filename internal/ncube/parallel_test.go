@@ -49,7 +49,7 @@ func TestRunParallelMatchesSequential(t *testing.T) {
 		for _, workers := range []int{1, 2, 4, 8} {
 			pw := p
 			pw.Workers = workers
-			got := RunParallel(pw, trees, 512)
+			got := RunParallel(pw, trees, 512, Instrumentation{})
 			if !reflect.DeepEqual(got, want) {
 				t.Fatalf("port=%v workers=%d: RunParallel diverges from sequential Run", port, workers)
 			}
@@ -66,7 +66,7 @@ func TestRunParallelMetricsInvariant(t *testing.T) {
 		reg := metrics.New()
 		pw := p
 		pw.Workers = workers
-		RunParallelInstrumented(pw, trees, 256, Instrumentation{Metrics: reg})
+		RunParallel(pw, trees, 256, Instrumentation{Metrics: reg})
 		out := map[string]int64{}
 		for _, name := range []string{"mcast_runs", "event_steps", "net_delivered", "net_channel_acquires"} {
 			out[name] = reg.Counter(name).Value()
@@ -109,7 +109,7 @@ func TestRunParallelPoolReuse(t *testing.T) {
 	p.Workers = 4
 	want := Run(NCube2(core.OnePort), trees[0], 512)
 	for round := 0; round < 3; round++ {
-		RunParallel(p, trees, 512)
+		RunParallel(p, trees, 512, Instrumentation{})
 		if got := Run(NCube2(core.OnePort), trees[0], 512); !reflect.DeepEqual(got, want) {
 			t.Fatalf("round %d: sequential run after parallel batch diverges", round)
 		}
@@ -125,7 +125,7 @@ func TestRunParallelRejectsTracer(t *testing.T) {
 		}
 	}()
 	trees := batchTrees(t)[:1]
-	RunParallelInstrumented(NCube2(core.AllPort), trees, 64, Instrumentation{Tracer: nopTracer{}})
+	RunParallel(NCube2(core.AllPort), trees, 64, Instrumentation{Tracer: nopTracer{}})
 }
 
 type nopTracer struct{}

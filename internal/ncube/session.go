@@ -10,13 +10,13 @@ import (
 	"hypercube/internal/wormhole"
 )
 
-// Session is a pooled shared-calendar run environment for executing MANY
-// collective operations on ONE simulated network, each injected at its own
-// simulated time. Where Run owns the calendar for a single tree and RunMany
-// launches a fixed batch at t=0, a Session exposes the calendar itself:
-// callers schedule injections (InjectTree, or arbitrary callbacks via At)
-// and then drive the whole scenario with Run. This is the substrate of the
-// traffic engine (internal/traffic).
+// Session is the simulator's one multicast executor: a pooled
+// shared-calendar run environment for executing one or MANY collective
+// operations on ONE simulated network, each injected at its own simulated
+// time. Every entry point that runs a tree — Run, RunMany, RunParallel, the
+// serving tier, the traffic engine — is a short composition over a
+// borrowed session: callers schedule injections (InjectTree, or arbitrary
+// callbacks via At) and then drive the whole scenario with Run.
 //
 // A Session is single-threaded, like the event kernel beneath it. Borrow
 // one with NewSession, schedule work, call Run exactly once, read results,
@@ -26,7 +26,7 @@ type Session struct {
 	net    *wormhole.Network
 	p      Params
 	ins    Instrumentation
-	diagFn func() string
+	diagFn func() string // s.Diagnose, bound once per pooled session
 
 	// faulted is set by SetFaults: injection paths switch to loss-tracked
 	// sends (per-send closures) only when a fault model is installed, so
@@ -36,26 +36,45 @@ type Session struct {
 	// on a watchdog trip (the traffic engine contributes faulted arcs and
 	// per-op progress).
 	extraDiag func() string
+
+	// ops and nodes are the slabs every InjectTree carves its treeOp and
+	// dense node table from. They survive Release cleared and truncated,
+	// so a pooled session executes trees without per-op allocations
+	// beyond the result's Recv map.
+	ops   []treeOp
+	nodes []opNode
 }
 
 var sessionPool = sync.Pool{New: func() any { return new(Session) }}
 
 // NewSession borrows a pooled session and rebinds it to one scenario's
-// machine, cube, and instrumentation.
+// machine, cube, and instrumentation. It panics on malformed params.
 func NewSession(p Params, cube topology.Cube, ins Instrumentation) *Session {
-	p.Validate()
-	s := sessionPool.Get().(*Session)
+	return sessionPool.Get().(*Session).bind(p, cube, ins)
+}
+
+// bind rebinds a new or scrubbed session to one scenario.
+func (s *Session) bind(p Params, cube topology.Cube, ins Instrumentation) *Session {
+	if err := p.Err(); err != nil {
+		panic(err)
+	}
 	cfg := p.NetConfig()
 	s.q.Reset()
 	if s.net == nil {
 		s.net = wormhole.New(&s.q, cube, cfg)
-		s.diagFn = s.net.Diagnose
+		s.diagFn = s.Diagnose
 	} else {
 		s.net.Reset(&s.q, cube, cfg)
 	}
 	s.p, s.ins = p, ins
 	s.faulted, s.extraDiag = false, nil // net.Reset detached the fault model
-	ins.instrument(&s.q, s.net)
+	if ins.Tracer != nil {
+		s.net.SetTracer(ins.Tracer)
+	}
+	if ins.Metrics != nil {
+		s.q.SetMetrics(ins.Metrics)
+		s.net.SetMetrics(ins.Metrics)
+	}
 	return s
 }
 
@@ -88,7 +107,7 @@ func (s *Session) SetExtraDiagnoser(fn func() string) { s.extraDiag = fn }
 // Diagnose renders the session's stall state: the network's held-channel
 // snapshot plus any extra diagnoser installed by the scenario driver.
 func (s *Session) Diagnose() string {
-	d := s.diagFn()
+	d := s.net.Diagnose()
 	if s.extraDiag != nil {
 		d += "\n" + s.extraDiag()
 	}
@@ -100,14 +119,10 @@ func (s *Session) At(t event.Time, fn func()) { s.q.At(t, fn) }
 
 // Run drives the calendar to exhaustion under the event watchdog
 // (see event.Queue.RunBudget; maxSteps <= 0 selects the default budget,
-// maxTime <= 0 is unbounded). It attaches the network diagnoser so a
+// maxTime <= 0 is unbounded). It attaches the session diagnoser so a
 // wedged scenario reports its held channels, and flushes any tracer.
 func (s *Session) Run(maxSteps int, maxTime event.Time) error {
-	if s.extraDiag != nil {
-		s.q.SetDiagnoser(s.Diagnose)
-	} else {
-		s.q.SetDiagnoser(s.diagFn)
-	}
+	s.q.SetDiagnoser(s.diagFn)
 	_, err := runQueue(&s.q, s.p.Workers, maxSteps, maxTime)
 	finishTracer(s.ins.Tracer, s.q.Now())
 	return err
@@ -115,23 +130,88 @@ func (s *Session) Run(maxSteps int, maxTime event.Time) error {
 
 // Release returns the session to the pool. Fault state is detached here
 // (and again by NewSession's network reset) so a recycled session starts
-// fault-free even if its previous scenario was faulted. Callers skip
-// Release when the run panicked — a half-torn-down session must not be
-// reused.
+// fault-free even if its previous scenario was faulted, and the slabs are
+// cleared so they retain no trees or results: every *Result InjectTree
+// returned is invalid from here on. Callers skip Release when the run
+// panicked — a half-torn-down session must not be reused.
 func (s *Session) Release() {
+	s.scrub()
+	sessionPool.Put(s)
+}
+
+// scrub drops everything scenario-specific, keeping the calendar, network
+// and slab storage for the next bind.
+func (s *Session) scrub() {
 	s.q.Reset()
 	s.ins = Instrumentation{}
 	s.net.SetFaults(nil)
 	s.faulted = false
 	s.extraDiag = nil
-	sessionPool.Put(s)
+	for i := range s.ops {
+		// A slot's bound deliver callback stays valid for its next op.
+		s.ops[i] = treeOp{deliverFn: s.ops[i].deliverFn}
+	}
+	s.ops = s.ops[:0]
+	clear(s.nodes)
+	s.nodes = s.nodes[:0]
+}
+
+// carve hands out the next n entries of a session slab. When the slab is
+// full it is replaced by one twice as large: entries already carved stay
+// in the old array, and the new one is what Release recycles.
+func carve[T any](slab *[]T, n int) []T {
+	s := *slab
+	if cap(s)-len(s) < n {
+		s = make([]T, 0, max(2*cap(s), n))
+	}
+	i := len(s)
+	*slab = s[:i+n]
+	return s[i : i+n : i+n]
+}
+
+// denseNodeLimit bounds the dense per-op node table: cubes with at most
+// this many nodes (dim <= 14) carve a flat slice indexed by address from
+// the session slab — the allocation-free hot path of every paper workload
+// — while giant cubes (dim 15 up to bits.MaxDim = 20, a million nodes)
+// switch to a map holding state only for the nodes a tree actually
+// touches. A 20-cube multicast to 64 destinations allocates 65 node states
+// instead of 2^20. The backends are observationally identical (the sparse
+// regression suite pins reflect.DeepEqual equality on overlapping dims);
+// it is a var, not a const, so tests can force the sparse backend onto
+// small cubes and diff it against dense.
+var denseNodeLimit = 1 << 14
+
+// opTable is one treeOp's node software-state store: dense below
+// denseNodeLimit, sparse (lazily populated map) above. Exactly one backend
+// is active. Lookups never iterate the map, so the backend cannot
+// influence event order.
+type opTable struct {
+	dense  []opNode
+	sparse map[topology.NodeID]*opNode
+}
+
+// state returns node v's state bound to op, materializing it on first
+// touch under the sparse backend. Dense entries are bound here rather
+// than up front, so a carve costs nothing per untouched node.
+func (ot *opTable) state(op *treeOp, v topology.NodeID) *opNode {
+	if ot.dense != nil {
+		st := &ot.dense[v]
+		st.op = op
+		return st
+	}
+	st, ok := ot.sparse[v]
+	if !ok {
+		st = &opNode{op: op}
+		ot.sparse[v] = st
+	}
+	return st
 }
 
 // treeOp is one multicast tree executing inside a Session. It is its own
 // injection event: scheduled with AtOp, its RunEvent starts the root's
 // first send at the op's injection instant. Node software states are
-// per-op (a processor can participate in several concurrent collectives,
-// one handler per message tag — same model as RunMany).
+// per-op: a processor can participate in several concurrent collectives,
+// one handler per message tag.
 type treeOp struct {
 	s        *Session
 	src      topology.NodeID
@@ -143,12 +223,17 @@ type treeOp struct {
 	done     func(*Result)
 	nodes    opTable
 
-	// deliver bound once per op so all-port sends don't allocate a
-	// closure per unicast.
+	// deliver bound once per slab slot, so neither an op nor its
+	// all-port sends allocate a closure.
 	deliverFn func(wormhole.Delivery)
 }
 
-// opNode mirrors nodeState for one node's role inside one treeOp.
+// opNode is one node's role inside one treeOp — the node's software and
+// injection state. It doubles as the node's pre-bound calendar event
+// (event.Op): a node has at most one software event pending per op at any
+// instant — its receive overhead completing, or the CPU setup of one send
+// — so the node object itself carries the dispatch stage and rides the
+// calendar without per-event closures.
 type opNode struct {
 	op    *treeOp
 	sends []core.Send
@@ -156,8 +241,12 @@ type opNode struct {
 	stage int8
 }
 
-// RunEvent dispatches the node's pending software event (same staging as
-// nodeState: receive overhead done, or one send's CPU setup done).
+const (
+	nodeRecvDone  int8 = iota // TRecv paid; begin forwarding
+	nodeSetupDone             // TStartup paid; inject sends[next-1]
+)
+
+// RunEvent dispatches the node's pending software event.
 func (st *opNode) RunEvent() {
 	if st.stage == nodeRecvDone {
 		st.op.issueNext(st)
@@ -167,34 +256,34 @@ func (st *opNode) RunEvent() {
 }
 
 // InjectTree schedules tr to start executing at absolute simulated time at
-// (>= the current calendar time). The returned Result is filled in as the
-// scenario runs: Recv times and Makespan are RELATIVE to the injection
-// instant, so an op that runs without interference reproduces Run's result
-// for the same tree exactly. TotalBlocked accumulates only this op's own
-// unicast blocking (unlike RunMany's network-wide total). If done is
+// (>= the current calendar time); the injection is one calendar event. The
+// returned Result is filled in as the scenario runs: Recv times and
+// Makespan are RELATIVE to the injection instant, so an op that runs
+// without interference gives the same result at any injection time.
+// TotalBlocked accumulates only this op's own unicast blocking (RunMany
+// overwrites it with the network-wide total). The Result lives in the
+// session and is valid until Release; copy it out before. If done is
 // non-nil it fires at the op's completion instant — the arrival of its
 // last unicast — on the shared calendar.
 func (s *Session) InjectTree(at event.Time, tr *core.Tree, bytes int, done func(*Result)) *Result {
-	expected := 0
-	for _, sends := range tr.Sends {
-		expected += len(sends)
+	op := &carve(&s.ops, 1)[0]
+	if op.deliverFn == nil {
+		op.deliverFn = op.deliver
 	}
-	op := &treeOp{
-		s:        s,
-		src:      tr.Source,
-		bytes:    bytes,
-		expected: expected,
-		done:     done,
-		res: Result{
-			Algorithm: tr.Algorithm,
-			Bytes:     bytes,
-			Recv:      make(map[topology.NodeID]event.Time, expected),
-		},
+	op.s, op.src, op.bytes, op.done = s, tr.Source, bytes, done
+	if n := tr.Cube.Nodes(); n <= denseNodeLimit {
+		op.nodes.dense = carve(&s.nodes, n)
+	} else {
+		op.nodes.sparse = make(map[topology.NodeID]*opNode, len(tr.Sends))
 	}
-	op.deliverFn = op.deliver
-	op.nodes.init(op, tr.Cube.Nodes(), len(tr.Sends))
 	for v, sends := range tr.Sends {
 		op.nodes.state(op, v).sends = sends
+		op.expected += len(sends)
+	}
+	op.res = Result{
+		Algorithm: tr.Algorithm,
+		Bytes:     bytes,
+		Recv:      make(map[topology.NodeID]event.Time, op.expected),
 	}
 	s.q.AtOp(at, op)
 	return &op.res
@@ -212,9 +301,10 @@ func (op *treeOp) RunEvent() {
 	op.issueNext(op.nodes.state(op, op.src))
 }
 
-// issueNext and setupDone mirror runEnv's mechanics exactly: serial
-// per-send CPU setup, with the one-port model additionally gating the next
-// issue on the previous tail draining.
+// issueNext sets up node st's next pending unicast: serial per-send CPU
+// setup, with the one-port model additionally gating the next issue on the
+// previous tail draining into the network (single DMA pair), while the
+// all-port model overlaps transmissions and is limited only by the CPU.
 func (op *treeOp) issueNext(st *opNode) {
 	if st.next >= len(st.sends) {
 		return
@@ -224,6 +314,7 @@ func (op *treeOp) issueNext(st *opNode) {
 	op.s.q.AfterOp(op.s.p.TStartup, st)
 }
 
+// setupDone injects the unicast whose CPU setup just completed.
 func (op *treeOp) setupDone(st *opNode) {
 	snd := st.sends[st.next-1]
 	if op.s.faulted {
@@ -282,9 +373,8 @@ func (op *treeOp) strand(v topology.NodeID) {
 
 // deliver records one completed unicast in op-relative time and starts the
 // receiver's software overhead. The op's done hook fires when the last
-// outstanding delivery lands — i.e. at the makespan instant, matching
-// Run's arrival-time semantics (the final receiver's residual TRecv is not
-// part of the multicast delay, exactly as in Run).
+// outstanding delivery lands — i.e. at the makespan instant (the final
+// receiver's residual TRecv is not part of the multicast delay).
 func (op *treeOp) deliver(d wormhole.Delivery) {
 	rel := d.Arrived - op.start
 	if _, dup := op.res.Recv[d.To]; dup {

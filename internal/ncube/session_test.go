@@ -1,7 +1,9 @@
 package ncube
 
 import (
+	"fmt"
 	"reflect"
+	"sync"
 	"testing"
 
 	"hypercube/internal/core"
@@ -10,35 +12,30 @@ import (
 	"hypercube/internal/topology"
 )
 
-// TestSessionInjectMatchesRun: a single tree injected into an otherwise
-// idle session must reproduce Run's result exactly — same Recv map (in
-// op-relative time), same Makespan, same TotalBlocked — regardless of the
+// TestSessionInjectMatchesDistributed: a single tree injected into an
+// otherwise idle session must reproduce, in op-relative time, the
+// independent reference executor — the distributed protocol of
+// RunDistributed at zero jitter, which shares no code with the session —
+// exactly: same Recv map, Makespan, and TotalBlocked, regardless of the
 // injection instant. This is the substrate guarantee the traffic engine's
 // isolated-op acceptance criterion rests on.
-func TestSessionInjectMatchesRun(t *testing.T) {
+func TestSessionInjectMatchesDistributed(t *testing.T) {
 	cube := topology.New(4, topology.HighToLow)
 	dests := []topology.NodeID{1, 3, 5, 7, 9, 12, 14, 15}
 	for _, alg := range core.Algorithms() {
 		for _, port := range []core.PortModel{core.OnePort, core.AllPort} {
+			want := RunDistributed(JitterParams{Params: NCube2(port)}, cube, alg, 3, dests, 4096)
 			for _, at := range []event.Time{0, 777 * event.Microsecond} {
-				tr := core.Build(cube, alg, 3, dests)
-				want := Run(NCube2(port), tr, 4096)
-
 				s := NewSession(NCube2(port), cube, Instrumentation{})
-				got := s.InjectTree(at, tr, 4096, nil)
+				res := s.InjectTree(at, core.Build(cube, alg, 3, dests), 4096, nil)
 				if err := s.Run(0, 0); err != nil {
 					t.Fatalf("%v/%v at %v: session run: %v", alg, port, at, err)
 				}
-				if !reflect.DeepEqual(got.Recv, want.Recv) {
-					t.Errorf("%v/%v at %v: Recv mismatch\n got %v\nwant %v", alg, port, at, got.Recv, want.Recv)
-				}
-				if got.Makespan != want.Makespan {
-					t.Errorf("%v/%v at %v: Makespan %v, want %v", alg, port, at, got.Makespan, want.Makespan)
-				}
-				if got.TotalBlocked != want.TotalBlocked {
-					t.Errorf("%v/%v at %v: TotalBlocked %v, want %v", alg, port, at, got.TotalBlocked, want.TotalBlocked)
-				}
+				got := *res
 				s.Release()
+				if !reflect.DeepEqual(got, want) {
+					t.Errorf("%v/%v at %v: session diverges from the distributed reference\n got %+v\nwant %+v", alg, port, at, got, want)
+				}
 			}
 		}
 	}
@@ -169,4 +166,105 @@ func mustAlg(t *testing.T, name string) core.Algorithm {
 		t.Fatal(err)
 	}
 	return a
+}
+
+// slabScenario runs a mixed-tree scenario on s and returns copies of its
+// results. Every tree touches the same few nodes, two ops join mid-run
+// (one from a completion hook, one from a timed callback), so a session
+// whose slabs start empty must grow both of them while ops are executing.
+func slabScenario(s *Session) ([]Result, error) {
+	cube := s.Network().Cube()
+	n := topology.NodeID(cube.Nodes())
+	dests := func(src topology.NodeID) []topology.NodeID {
+		var out []topology.NodeID
+		for v := topology.NodeID(1); v < n; v += 2 {
+			if d := (v + src) % n; d != src {
+				out = append(out, d)
+			}
+		}
+		return out
+	}
+	build := func(a core.Algorithm, src topology.NodeID) *core.Tree {
+		return core.Build(cube, a, src, dests(src))
+	}
+	var res []*Result
+	res = append(res, s.InjectTree(0, build(core.WSort, 0), 2048, func(*Result) {
+		res = append(res, s.InjectTree(s.Now(), build(core.Combine, 2), 2048, nil))
+	}))
+	res = append(res, s.InjectTree(0, build(core.UCube, n-1), 2048, nil))
+	res = append(res, s.InjectTree(30*event.Microsecond, build(core.Maxport, 1), 2048, nil))
+	s.At(150*event.Microsecond, func() {
+		res = append(res, s.InjectTree(s.Now(), build(core.SFBinomial, 3), 2048, nil))
+	})
+	if err := s.Run(0, 0); err != nil {
+		return nil, err
+	}
+	if len(res) != 5 {
+		return nil, fmt.Errorf("slab scenario ran %d ops, want 5", len(res))
+	}
+	out := make([]Result, len(res))
+	for i, r := range res {
+		out[i] = *r
+	}
+	return out, nil
+}
+
+// TestSessionSlabHygiene: a session whose op and node slabs grow mid-run,
+// then are scrubbed and reused on a smaller cube, must give results
+// reflect.DeepEqual to the same scenarios on never-used sessions. The
+// pooled half runs on concurrent goroutines so -race sees sessions (and
+// their slabs) handed between them by the pool.
+func TestSessionSlabHygiene(t *testing.T) {
+	p := NCube2(core.AllPort)
+	big, small := topology.New(5, topology.HighToLow), topology.New(3, topology.HighToLow)
+	scenario := func(s *Session) []Result {
+		t.Helper()
+		res, err := slabScenario(s)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res
+	}
+	wantBig := scenario(new(Session).bind(p, big, Instrumentation{}))
+	wantSmall := scenario(new(Session).bind(p, small, Instrumentation{}))
+
+	s := new(Session).bind(p, big, Instrumentation{})
+	if got := scenario(s); !reflect.DeepEqual(got, wantBig) {
+		t.Fatalf("growing slabs mid-run changed results:\n got %+v\nwant %+v", got, wantBig)
+	}
+	// Three ops injected before the run leave the slabs at 2 ops and 2
+	// cubes' worth of nodes; reaching 4 means they grew mid-run.
+	if cap(s.ops) < 4 || cap(s.nodes) < 4*big.Nodes() {
+		t.Fatalf("slabs never grew mid-run: ops cap %d, nodes cap %d", cap(s.ops), cap(s.nodes))
+	}
+	s.scrub()
+	if got := scenario(s.bind(p, small, Instrumentation{})); !reflect.DeepEqual(got, wantSmall) {
+		t.Fatalf("scrubbed session reused on a smaller cube diverged:\n got %+v\nwant %+v", got, wantSmall)
+	}
+
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for round := 0; round < 8; round++ {
+				cube, want := big, wantBig
+				if round%2 == 1 {
+					cube, want = small, wantSmall
+				}
+				s := NewSession(p, cube, Instrumentation{})
+				got, err := slabScenario(s)
+				s.Release()
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				if !reflect.DeepEqual(got, want) {
+					t.Errorf("pooled %d-cube scenario diverged from a fresh session", cube.Dim())
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
 }

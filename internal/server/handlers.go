@@ -54,8 +54,14 @@ func (s *Server) runSimulate(req SimulateRequest) (any, error) {
 		return nil, err
 	}
 	tr := core.Build(cube, alg, topology.NodeID(req.Src), toNodeIDs(req.Dests))
-	res, err := ncube.RunInstrumentedBudget(p, tr, req.Bytes,
-		ncube.Instrumentation{Metrics: s.reg}, s.cfg.WatchdogSteps, s.cfg.WatchdogTime)
+	// The server's watchdog budget bounds the untrusted request: a trip
+	// returns the session's *event.Diagnostic instead of running forever.
+	sess := ncube.NewSession(p, cube, ncube.Instrumentation{Metrics: s.reg})
+	s.reg.Counter("mcast_runs").Inc()
+	out := sess.InjectTree(0, tr, req.Bytes, nil)
+	err = sess.Run(s.cfg.WatchdogSteps, s.cfg.WatchdogTime)
+	res := *out
+	sess.Release()
 	if err != nil {
 		return nil, err
 	}

@@ -84,7 +84,7 @@ func Concurrent(cfg ConcurrentConfig) *stats.Table {
 				for j := 0; j < k; j++ {
 					trees[j] = core.Build(cube, a, srcs[j], dsts[j])
 				}
-				results := ncube.RunManyInstrumented(cfg.Params, trees, cfg.Bytes, ins)
+				results := ncube.RunMany(cfg.Params, trees, cfg.Bytes, ins)
 				var worst event.Time
 				for _, r := range results {
 					if r.Makespan > worst {

@@ -419,7 +419,7 @@ func Delay(cfg DelayConfig) *stats.Table {
 					trees = append(trees, core.Build(cube, a, src, dests))
 				}
 			}
-			results := ncube.RunParallelInstrumented(cfg.Params, trees, cfg.Bytes, ins)
+			results := ncube.RunParallel(cfg.Params, trees, cfg.Bytes, ins)
 			for trial := 0; trial < cfg.Trials; trial++ {
 				for i := range cfg.Algorithms {
 					observe(i, results[trial*len(cfg.Algorithms)+i], dsets[trial])

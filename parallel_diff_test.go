@@ -158,6 +158,38 @@ func TestWallBatchSimulate(t *testing.T) {
 	}
 }
 
+// TestWallSimulateMany pins the worker gate on concurrent multicasts
+// sharing one interconnect: RunMany's results (network-wide blocking
+// included) and its metric snapshot are identical at every worker count.
+func TestWallSimulateMany(t *testing.T) {
+	cube := hypercube.New(6, topology.HighToLow)
+	var trees []*hypercube.Tree
+	for i, alg := range []hypercube.Algorithm{core.UCube, core.Maxport, core.Combine, core.WSort} {
+		src := hypercube.NodeID(i * 13 % cube.Nodes())
+		trees = append(trees, hypercube.Multicast(cube, alg, src, hypercube.RandomDests(cube, int64(200+i), src, 24)))
+	}
+	run := func(workers int) ([]hypercube.MachineResult, string) {
+		p := hypercube.NCube2Params(core.AllPort)
+		p.Workers = workers
+		reg := metrics.New()
+		res := ncube.RunMany(p, trees, 2048, ncube.Instrumentation{Metrics: reg})
+		return res, encode(t, reg.Snapshot())
+	}
+	want, wantMetrics := run(1)
+	if want[0].TotalBlocked == 0 {
+		t.Fatal("batch is contention-free; the wall needs cross-multicast blocking")
+	}
+	for _, workers := range wallWorkers[1:] {
+		got, gotMetrics := run(workers)
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("workers=%d: RunMany diverges from the sequential run", workers)
+		}
+		if gotMetrics != wantMetrics {
+			t.Fatalf("workers=%d: metric snapshot diverges\nwant %s\ngot  %s", workers, wantMetrics, gotMetrics)
+		}
+	}
+}
+
 // TestWallFaultTolerant pins the worker gate on the fault-tolerant
 // protocol runner: retries, repairs, and per-destination outcomes under a
 // mixed fault plan are identical at every worker count.

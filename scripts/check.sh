@@ -25,6 +25,13 @@ go test ./...
 echo '== go test -race'
 go test -race ./...
 
+echo '== benchsuite module (vet + tests)'
+# benchsuite is a module of its own that calls the program's entry points
+# (ncube.RunInstrumented among them); the root ./... never compiles it, so
+# an API change would otherwise pass every step above and break the
+# benchmark.
+(cd benchsuite && go vet ./... && go test ./...)
+
 echo '== fuzz seed corpora'
 go test -run Fuzz . ./internal/chain/ ./internal/core/
 
