@@ -35,6 +35,8 @@ type (
 	// PortModel selects the node/router interface (one-port or all-port).
 	PortModel = core.PortModel
 	// Tree is a multicast implementation: a tree of constituent unicasts.
+	// Read its sends with SendsAt(i), the sends of Order[i] in issue
+	// order, or SendsFrom(v) for one node.
 	Tree = core.Tree
 	// StepSchedule is a stepwise execution of a multicast tree.
 	StepSchedule = core.Schedule

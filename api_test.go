@@ -241,7 +241,7 @@ func TestCheckFaultPlan(t *testing.T) {
 func TestSimulateFaultTolerantFacade(t *testing.T) {
 	cube := hypercube.New(3, hypercube.HighToLow)
 	tree := hypercube.Broadcast(cube, hypercube.WSort, 0)
-	first := tree.Sends[0][0]
+	first := tree.SendsFrom(0)[0]
 	arc := cube.PathArcs(first.From, first.To)[0]
 	res, err := hypercube.SimulateFaultTolerant(
 		hypercube.NCube2Params(hypercube.AllPort), cube, hypercube.WSort,

@@ -223,6 +223,36 @@ func BenchmarkSimulateBroadcast10Cube(b *testing.B) {
 	}
 }
 
+// BenchmarkCoreBuildSchedule is the tree-construction and step-scheduling
+// layer alone: the Figure 9 tree mix at BenchmarkFig09Stepwise6Cube's
+// fidelity (6-cube, every destination count, 20 sets each, the four paper
+// algorithms), built and scheduled all-port from inputs drawn up front.
+func BenchmarkCoreBuildSchedule(b *testing.B) {
+	b.ReportAllocs()
+	cube := topology.New(6, topology.HighToLow)
+	type input struct {
+		src   topology.NodeID
+		dests []topology.NodeID
+	}
+	var ins []input
+	for _, m := range workload.DestCounts(6, 16) {
+		gen := workload.NewGenerator(cube, 1993+int64(m))
+		for trial := 0; trial < 20; trial++ {
+			src := gen.Source()
+			ins = append(ins, input{src, gen.Dests(src, m)})
+		}
+	}
+	algs := []core.Algorithm{core.UCube, core.Maxport, core.Combine, core.WSort}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for _, in := range ins {
+			for _, a := range algs {
+				core.NewSchedule(core.Build(cube, a, in.src, in.dests), core.AllPort)
+			}
+		}
+	}
+}
+
 // Definition 4 contention checking (quadratic in unicasts).
 func BenchmarkCheckContention(b *testing.B) {
 	b.ReportAllocs()

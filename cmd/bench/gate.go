@@ -19,6 +19,7 @@ import (
 
 	"hypercube"
 	"hypercube/internal/core"
+	"hypercube/internal/topology"
 	"hypercube/internal/traffic"
 	"hypercube/internal/workload"
 )
@@ -53,6 +54,7 @@ func gateBenchmarks() []struct {
 				})
 			}
 		}},
+		{"BenchmarkCoreBuildSchedule", benchCoreBuildSchedule},
 		{"BenchmarkFig11AvgDelay5Cube", func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				workload.Delay(workload.DelayConfig{
@@ -167,6 +169,34 @@ func gateBenchmarks() []struct {
 		{"BenchmarkParallelBroadcast12Cube/workers=8", func(b *testing.B) {
 			benchParallelBroadcast(b, 8)
 		}},
+	}
+}
+
+// benchCoreBuildSchedule mirrors bench_test.go's BenchmarkCoreBuildSchedule:
+// the Figure 9 tree mix built and scheduled all-port, inputs drawn up
+// front, so the entry measures the core layer alone.
+func benchCoreBuildSchedule(b *testing.B) {
+	cube := topology.New(6, topology.HighToLow)
+	type input struct {
+		src   topology.NodeID
+		dests []topology.NodeID
+	}
+	var ins []input
+	for _, m := range workload.DestCounts(6, 16) {
+		gen := workload.NewGenerator(cube, 1993+int64(m))
+		for trial := 0; trial < 20; trial++ {
+			src := gen.Source()
+			ins = append(ins, input{src, gen.Dests(src, m)})
+		}
+	}
+	algs := []core.Algorithm{core.UCube, core.Maxport, core.Combine, core.WSort}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for _, in := range ins {
+			for _, a := range algs {
+				core.NewSchedule(core.Build(cube, a, in.src, in.dests), core.AllPort)
+			}
+		}
 	}
 }
 

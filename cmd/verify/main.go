@@ -115,8 +115,8 @@ func checkInstance(cube topology.Cube, src topology.NodeID, dests []topology.Nod
 		for _, a := range core.Algorithms() {
 			want := core.Build(cube, a, src, dests)
 			got := core.BuildDistributed(cube, a, src, dests)
-			for node, ws := range want.Sends {
-				gs := got.Sends[node]
+			for i, node := range want.Order {
+				ws, gs := want.SendsAt(i), got.SendsFrom(node)
 				if len(ws) != len(gs) {
 					return fail("%v: distributed build diverges at node %v", a, node)
 				}

@@ -45,7 +45,7 @@ func main() {
 	tree := hypercube.Multicast(cube, hypercube.WSort, src, dests)
 	match := true
 	for v, rec := range res.Receipts {
-		if rec.Forwards != len(tree.Sends[topology.NodeID(v)]) {
+		if rec.Forwards != len(tree.SendsFrom(topology.NodeID(v))) {
 			match = false
 		}
 	}

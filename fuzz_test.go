@@ -114,8 +114,8 @@ func FuzzMulticastInvariants(f *testing.F) {
 		for _, a := range core.Algorithms() {
 			want := core.Build(cube, a, src, dests)
 			got := core.BuildDistributed(cube, a, src, dests)
-			for node, ws := range want.Sends {
-				gs := got.Sends[node]
+			for i, node := range want.Order {
+				ws, gs := want.SendsAt(i), got.SendsFrom(node)
 				if len(ws) != len(gs) {
 					t.Fatalf("%v: distributed build diverges at node %v (src=%d dests=%v)", a, node, src, dests)
 				}

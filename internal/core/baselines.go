@@ -10,12 +10,10 @@ import (
 // steps; on an all-port architecture the scheduler overlaps sends on
 // different channels but serializes sends sharing the first hop.
 func buildSeparate(c topology.Cube, src topology.NodeID, ch chain.Chain) *Tree {
-	t := newTree(c, SeparateAddressing, src)
-	t.touch(src)
-	for _, rel := range ch[1:] {
-		t.addSend(Send{From: src, To: t.abs(rel), Payload: chain.Chain{rel}})
-	}
-	return t
+	return &Tree{Cube: c, Source: src, Algorithm: SeparateAddressing,
+		Order: []topology.NodeID{src},
+		sends: localSeparateSends(c, src, ch),
+		first: []int32{0, int32(len(ch) - 1)}}
 }
 
 // buildSFBinomial reproduces the store-and-forward-era multicast of Figure
@@ -25,11 +23,10 @@ func buildSeparate(c topology.Cube, src topology.NodeID, ch chain.Chain) *Tree {
 // message in software, which is exactly the inefficiency the paper's
 // wormhole algorithms remove.
 func buildSFBinomial(c topology.Cube, src topology.NodeID, ch chain.Chain) *Tree {
-	t := newTree(c, SFBinomial, src)
-	t.touch(src)
 	if len(ch) < 2 {
-		return t
+		return grouped(c, SFBinomial, src, nil)
 	}
+	var sends []Send
 	dests := make(map[topology.NodeID]bool, len(ch)-1)
 	for _, rel := range ch[1:] {
 		dests[rel] = true
@@ -62,11 +59,11 @@ func buildSFBinomial(c topology.Cube, src topology.NodeID, ch chain.Chain) *Tree
 					rest = append(rest, dst)
 				}
 			}
-			t.addSend(Send{From: t.abs(holder), To: t.abs(partner), Payload: rest})
+			sends = append(sends, Send{From: absOf(c, src, holder), To: absOf(c, src, partner), Payload: rest})
 			responsibility[partner] = rest
 		}
 	}
-	return t
+	return grouped(c, SFBinomial, src, sends)
 }
 
 // holdersInOrder returns the current holders sorted ascending so the

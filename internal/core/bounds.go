@@ -34,13 +34,19 @@ func StepLowerBound(pm PortModel, n, m int) int {
 // Height returns the tree's depth in unicast hops — the minimum number of
 // steps its schedule can possibly take on any port model.
 func (t *Tree) Height() int {
-	depth := map[uint32]int{uint32(t.Source): 0}
+	sc := getScratch(t)
+	defer sc.release(t)
+	depth := sc.recv // per Order index, 0 at the source; parents precede children
 	max := 0
-	for _, s := range t.Unicasts() {
-		d := depth[uint32(s.From)] + 1
-		depth[uint32(s.To)] = d
-		if d > max {
-			max = d
+	for i := range t.Order {
+		for _, s := range t.SendsAt(i) {
+			d := depth[i] + 1
+			if j := sc.index(s.To); j >= 0 {
+				depth[j] = d
+			}
+			if int(d) > max {
+				max = int(d)
+			}
 		}
 	}
 	return max

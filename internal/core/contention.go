@@ -33,19 +33,34 @@ func (c Contention) String() string {
 func CheckContention(s *Schedule) []Contention {
 	t := s.Tree
 	us := s.Unicasts
-	// Precompute arcs and reachable sets lazily per sender.
-	arcs := make([][]topology.Arc, len(us))
+	// Every unicast's path, flat: arcs[off[i]:off[i+1]].
+	off := make([]int, len(us)+1)
+	var arcs []topology.Arc
 	for i, u := range us {
-		arcs[i] = t.Cube.PathArcs(u.From, u.To)
+		arcs = t.Cube.AppendPathArcs(arcs, u.From, u.To)
+		off[i+1] = len(arcs)
 	}
-	reach := map[topology.NodeID]map[topology.NodeID]bool{}
-	reachOf := func(v topology.NodeID) map[topology.NodeID]bool {
-		r, ok := reach[v]
-		if !ok {
-			r = t.Reachable(v)
-			reach[v] = r
+	// x is in R_u exactly when u is x or one of its ancestors; parent
+	// links run over Order indices, where every sender appears.
+	sc := getScratch(t)
+	defer sc.release(t)
+	parent := make([]int32, len(t.Order))
+	parent[0] = -1 // the source
+	for i := range t.Order {
+		for _, snd := range t.SendsAt(i) {
+			if j := sc.index(snd.To); j >= 0 {
+				parent[j] = int32(i)
+			}
 		}
-		return r
+	}
+	inReach := func(u, x topology.NodeID) bool {
+		iu := sc.index(u)
+		for j := sc.index(x); j >= 0; j = int(parent[j]) {
+			if j == iu {
+				return true
+			}
+		}
+		return false
 	}
 	var out []Contention
 	for i := 0; i < len(us); i++ {
@@ -54,11 +69,11 @@ func CheckContention(s *Schedule) []Contention {
 			if us[a].Step > us[b].Step {
 				a, b = b, a
 			}
-			shared, ok := sharedArc(arcs[a], arcs[b])
+			shared, ok := sharedArc(arcs[off[a]:off[a+1]], arcs[off[b]:off[b+1]])
 			if !ok {
 				continue
 			}
-			if us[a].Step < us[b].Step && reachOf(us[a].From)[us[b].From] {
+			if us[a].Step < us[b].Step && inReach(us[a].From, us[b].From) {
 				continue
 			}
 			out = append(out, Contention{Earlier: us[a], Later: us[b], SharedArc: shared})
@@ -67,14 +82,13 @@ func CheckContention(s *Schedule) []Contention {
 	return out
 }
 
+// sharedArc returns the first arc of b that a also uses.
 func sharedArc(a, b []topology.Arc) (topology.Arc, bool) {
-	set := make(map[topology.Arc]bool, len(a))
-	for _, x := range a {
-		set[x] = true
-	}
 	for _, y := range b {
-		if set[y] {
-			return y, true
+		for _, x := range a {
+			if x == y {
+				return y, true
+			}
 		}
 	}
 	return topology.Arc{}, false

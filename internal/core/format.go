@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 
@@ -26,7 +27,7 @@ func (s *Schedule) Format() string {
 		t.Algorithm, t.Cube.Binary(t.Source), s.Port, s.Steps())
 	var rec func(node topology.NodeID, prefix string)
 	rec = func(node topology.NodeID, prefix string) {
-		ordered := append([]Send(nil), t.Sends[node]...)
+		ordered := slices.Clone(t.SendsFrom(node))
 		sort.SliceStable(ordered, func(i, j int) bool {
 			si := step[[2]topology.NodeID{node, ordered[i].To}]
 			sj := step[[2]topology.NodeID{node, ordered[j].To}]

@@ -71,8 +71,8 @@ func FuzzDistributedEquivalence(f *testing.F) {
 		for _, a := range Algorithms() {
 			want := Build(c, a, src, dests)
 			got := BuildDistributed(c, a, src, dests)
-			for node, ws := range want.Sends {
-				gs := got.Sends[node]
+			for i, node := range want.Order {
+				ws, gs := want.SendsAt(i), got.SendsFrom(node)
 				if len(ws) != len(gs) {
 					t.Fatalf("%v: node %v send count %d vs %d", a, node, len(gs), len(ws))
 				}

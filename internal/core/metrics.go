@@ -38,20 +38,20 @@ func (m Metrics) String() string {
 // intended destination set, needed to count relays; pass nil to skip relay
 // accounting.
 func (t *Tree) ComputeMetrics(dests []topology.NodeID) Metrics {
-	m := Metrics{Height: t.Height()}
-	for node, sends := range t.Sends {
+	m := Metrics{Height: t.Height(), Unicasts: len(t.sends)}
+	for i, node := range t.Order {
+		sends := t.SendsAt(i)
 		if len(sends) > m.MaxOutDegree {
 			m.MaxOutDegree = len(sends)
 		}
-		seen := map[int]bool{}
+		var seen uint64 // outgoing channels used so far
 		for _, s := range sends {
-			m.Unicasts++
 			m.TotalHops += topology.Distance(s.From, s.To)
-			d := t.Cube.FirstHop(node, s.To)
-			if seen[d] {
+			bit := uint64(1) << uint(t.Cube.FirstHop(node, s.To))
+			if seen&bit != 0 {
 				m.ChannelReuses++
 			}
-			seen[d] = true
+			seen |= bit
 		}
 	}
 	if dests != nil {

@@ -110,9 +110,9 @@ func TestMaxportWSortNeverDefer(t *testing.T) {
 		for _, a := range []Algorithm{Maxport, WSort} {
 			s := NewSchedule(Build(c, a, src, dests), AllPort)
 			for _, u := range s.Unicasts {
-				if u.Step != s.Recv[u.From]+1 {
+				if recv, _ := s.RecvStep(u.From); u.Step != recv+1 {
 					t.Fatalf("%v: send %v->%v at step %d but sender received at %d",
-						a, u.From, u.To, u.Step, s.Recv[u.From])
+						a, u.From, u.To, u.Step, recv)
 				}
 			}
 		}
@@ -402,7 +402,7 @@ func TestPayloadMatchesSubtree(t *testing.T) {
 					t.Fatalf("%v: payload size %d != subtree size %d", a, len(snd.Payload), len(reach))
 				}
 				for _, rel := range snd.Payload {
-					abs := tr.abs(rel)
+					abs := absOf(c, src, rel)
 					if !reach[abs] {
 						t.Fatalf("%v: payload node %v not in subtree of %v", a, abs, snd.To)
 					}

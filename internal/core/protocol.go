@@ -40,13 +40,13 @@ func StartPayload(c topology.Cube, a Algorithm, src topology.NodeID, dests []top
 func LocalSends(c topology.Cube, a Algorithm, src topology.NodeID, payload chain.Chain) []Send {
 	switch a {
 	case UCube:
-		return localChainSends(c, src, payload, nextCenter)
+		return appendChainSends(nil, c, src, payload, nextCenter)
 	case Maxport, WSort:
 		// W-sort's weighting happened once at the source; locally it
 		// behaves exactly like Maxport on the received chain.
-		return localChainSends(c, src, payload, nextHighdim)
+		return appendChainSends(nil, c, src, payload, nextHighdim)
 	case Combine:
-		return localChainSends(c, src, payload, nextCombine)
+		return appendChainSends(nil, c, src, payload, nextCombine)
 	case SeparateAddressing:
 		return localSeparateSends(c, src, payload)
 	case SFBinomial:
@@ -66,23 +66,6 @@ func relOfNode(c topology.Cube, src, abs topology.NodeID) topology.NodeID {
 	return c.Canon(abs) ^ c.Canon(src)
 }
 
-func localChainSends(c topology.Cube, src topology.NodeID, ch chain.Chain, policy func(chain.Chain, int, int) int) []Send {
-	if len(ch) == 0 {
-		return nil
-	}
-	from := absOf(c, src, ch[0])
-	var out []Send
-	left, right := 0, len(ch)-1
-	for right > left {
-		next := policy(ch, left, right)
-		payload := make(chain.Chain, right-next+1)
-		copy(payload, ch[next:right+1])
-		out = append(out, Send{From: from, To: absOf(c, src, ch[next]), Payload: payload})
-		right = next - 1
-	}
-	return out
-}
-
 // localSeparateSends: only the initiator sends; a recipient's payload is
 // its own singleton chain and produces nothing.
 func localSeparateSends(c topology.Cube, src topology.NodeID, ch chain.Chain) []Send {
@@ -91,8 +74,8 @@ func localSeparateSends(c topology.Cube, src topology.NodeID, ch chain.Chain) []
 	}
 	from := absOf(c, src, ch[0])
 	out := make([]Send, 0, len(ch)-1)
-	for _, rel := range ch[1:] {
-		out = append(out, Send{From: from, To: absOf(c, src, rel), Payload: chain.Chain{rel}})
+	for i := 1; i < len(ch); i++ {
+		out = append(out, Send{From: from, To: absOf(c, src, ch[i]), Payload: ch[i : i+1 : i+1]})
 	}
 	return out
 }
@@ -147,23 +130,10 @@ func LocalSendsAt(c topology.Cube, a Algorithm, src, node topology.NodeID, paylo
 // BuildDistributed constructs the multicast tree by repeatedly applying the
 // local forwarding rule, starting from the initiator's address field — the
 // execution a real machine performs. It must produce exactly the tree of
-// Build (asserted by tests).
+// Build (asserted by tests). Its Order lists every node, leaves included.
 func BuildDistributed(c topology.Cube, a Algorithm, src topology.NodeID, dests []topology.NodeID) *Tree {
-	t := newTree(c, a, src)
-	t.touch(src)
-	type delivery struct {
-		node    topology.NodeID
-		payload chain.Chain
-	}
-	queue := []delivery{{src, StartPayload(c, a, src, dests)}}
-	for len(queue) > 0 {
-		d := queue[0]
-		queue = queue[1:]
-		t.touch(d.node)
-		for _, snd := range LocalSendsAt(c, a, src, d.node, d.payload) {
-			t.addSend(snd)
-			queue = append(queue, delivery{snd.To, snd.Payload})
-		}
-	}
-	return t
+	t := &Tree{Cube: c, Source: src, Algorithm: a}
+	return t.grow(StartPayload(c, a, src, dests), func(dst []Send, node topology.NodeID, p chain.Chain) []Send {
+		return append(dst, LocalSendsAt(c, a, src, node, p)...)
+	})
 }

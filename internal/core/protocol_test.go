@@ -39,8 +39,8 @@ func assertSameTree(t *testing.T, a Algorithm, want, got *Tree) {
 	// Compare per-sender ordered send lists (global interleavings of
 	// independent senders may differ, and the builders may or may not
 	// record leaf nodes with zero sends).
-	for node, ws := range want.Sends {
-		gs := got.Sends[node]
+	for i, node := range want.Order {
+		ws, gs := want.SendsAt(i), got.SendsFrom(node)
 		if len(ws) != len(gs) {
 			t.Fatalf("%v: sends of node %v differ in count", a, node)
 		}
@@ -64,7 +64,7 @@ func TestLocalSendsMatchTreeSends(t *testing.T) {
 			tr := Build(c, a, src, dests)
 			for _, snd := range tr.Unicasts() {
 				got := LocalSends(c, a, src, snd.Payload)
-				want := tr.Sends[snd.To]
+				want := tr.SendsFrom(snd.To)
 				if len(got) != len(want) {
 					t.Fatalf("%v: node %v local %d sends, tree %d", a, snd.To, len(got), len(want))
 				}

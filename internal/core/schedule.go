@@ -1,8 +1,10 @@
 package core
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
+	"sync"
 
 	"hypercube/internal/topology"
 )
@@ -42,9 +44,14 @@ type Schedule struct {
 	Tree     *Tree
 	Port     PortModel
 	Unicasts []Unicast
-	// Recv maps every reached node to the step at which it received the
-	// message; the source maps to 0.
-	Recv map[topology.NodeID]int
+
+	recvOnce sync.Once
+	recv     []nodeStep // receive steps sorted by node, built on first RecvStep
+}
+
+type nodeStep struct {
+	node topology.NodeID
+	step int32
 }
 
 // Steps returns the total number of steps: the largest receive step.
@@ -59,10 +66,22 @@ func (s *Schedule) Steps() int {
 }
 
 // RecvStep returns the step at which node v received the message and
-// whether v is reached at all (the source reports step 0, true).
+// whether v is reached at all (the source reports step 0, true). The first
+// call indexes the receive steps by node; every call is a binary search.
 func (s *Schedule) RecvStep(v topology.NodeID) (int, bool) {
-	st, ok := s.Recv[v]
-	return st, ok
+	s.recvOnce.Do(func() {
+		s.recv = make([]nodeStep, 0, len(s.Unicasts)+1)
+		s.recv = append(s.recv, nodeStep{s.Tree.Source, 0})
+		for _, u := range s.Unicasts {
+			s.recv = append(s.recv, nodeStep{u.To, int32(u.Step)})
+		}
+		slices.SortFunc(s.recv, func(a, b nodeStep) int { return cmp.Compare(a.node, b.node) })
+	})
+	i, ok := slices.BinarySearchFunc(s.recv, v, func(e nodeStep, v topology.NodeID) int { return cmp.Compare(e.node, v) })
+	if !ok {
+		return 0, false
+	}
+	return int(s.recv[i].step), true
 }
 
 // NewSchedule runs the stepwise execution model for the given port model.
@@ -90,18 +109,20 @@ func NewSchedule(t *Tree, pm PortModel) *Schedule {
 }
 
 func scheduleOnePort(t *Tree) *Schedule {
-	s := &Schedule{Tree: t, Port: OnePort, Recv: map[topology.NodeID]int{t.Source: 0}}
-	// Process nodes in reception order; a FIFO over t.Order works because
-	// construction order reaches parents before children.
-	for _, v := range t.Order {
-		base, ok := s.Recv[v]
-		if !ok {
+	sc := getScratch(t)
+	defer sc.release(t)
+	s := &Schedule{Tree: t, Port: OnePort, Unicasts: make([]Unicast, 0, len(t.sends))}
+	// Process nodes in reception order: construction order reaches
+	// parents before children.
+	for i, v := range t.Order {
+		base := sc.recv[i]
+		if base < 0 {
 			panic(fmt.Sprintf("core: node %d scheduled before reached", v))
 		}
-		for k, snd := range t.Sends[v] {
-			step := base + k + 1
+		for k, snd := range t.SendsAt(i) {
+			step := int(base) + k + 1
 			s.Unicasts = append(s.Unicasts, Unicast{From: snd.From, To: snd.To, Step: step})
-			s.Recv[snd.To] = step
+			sc.reached(snd.To, step)
 		}
 	}
 	sortUnicasts(s.Unicasts)
@@ -109,72 +130,42 @@ func scheduleOnePort(t *Tree) *Schedule {
 }
 
 func scheduleAllPort(t *Tree) *Schedule {
-	s := &Schedule{Tree: t, Port: AllPort, Recv: map[topology.NodeID]int{t.Source: 0}}
-	pending := make(map[topology.NodeID][]Send, len(t.Sends))
-	remaining := 0
-	for v, sends := range t.Sends {
-		if len(sends) > 0 {
-			pending[v] = append([]Send(nil), sends...)
-			remaining += len(sends)
-		}
-	}
-	total := remaining
+	sc := getScratch(t)
+	defer sc.release(t)
+	sc.pending(t)
+	s := &Schedule{Tree: t, Port: AllPort, Unicasts: make([]Unicast, 0, len(t.sends))}
+	remaining := len(t.sends)
 	for step := 1; remaining > 0; step++ {
-		if step > 2*total+len(t.Order)+8 {
+		if step > 2*len(t.sends)+len(t.Order)+8 {
 			panic("core: all-port scheduler failed to make progress")
 		}
-		claimed := map[topology.Arc]bool{}
-		type chanKey struct {
-			node topology.NodeID
-			dim  int
-		}
-		usedChannel := map[chanKey]bool{}
+		sc.arcs.nextStep()
 		// Deterministic sender order: construction order.
-		for _, v := range t.Order {
-			sends := pending[v]
-			if len(sends) == 0 {
-				continue
+		for i := range t.Order {
+			pend := sc.pend[t.first[i] : t.first[i]+sc.left[i]]
+			if len(pend) == 0 || sc.recv[i] < 0 || int(sc.recv[i]) >= step {
+				continue // nothing left, or not yet holding the message at this step
 			}
-			recv, ok := s.Recv[v]
-			if !ok || recv >= step {
-				continue // not yet holding the message at this step
-			}
-			kept := sends[:0]
-			for _, snd := range sends {
-				dim := t.Cube.FirstHop(snd.From, snd.To)
-				key := chanKey{v, dim}
-				if usedChannel[key] {
-					kept = append(kept, snd)
-					continue
-				}
-				arcs := t.Cube.PathArcs(snd.From, snd.To)
-				conflict := false
-				for _, a := range arcs {
-					if claimed[a] {
-						conflict = true
-						break
+			var used uint64 // this sender's channels spoken for this step
+			kept := pend[:0]
+			for _, k := range pend {
+				snd := &t.sends[k]
+				bit := uint64(1) << uint(t.Cube.FirstHop(snd.From, snd.To))
+				if used&bit == 0 {
+					// Whether launched or blocked, the channel is
+					// spoken for this step: later sends on it keep
+					// their issue order.
+					used |= bit
+					if sc.arcs.claimPath(t.Cube, snd.From, snd.To) {
+						s.Unicasts = append(s.Unicasts, Unicast{From: snd.From, To: snd.To, Step: step})
+						sc.reached(snd.To, step)
+						remaining--
+						continue
 					}
 				}
-				// Whether launched or blocked, the channel is
-				// spoken for this step: later sends on it keep
-				// their issue order.
-				usedChannel[key] = true
-				if conflict {
-					kept = append(kept, snd)
-					continue
-				}
-				for _, a := range arcs {
-					claimed[a] = true
-				}
-				s.Unicasts = append(s.Unicasts, Unicast{From: snd.From, To: snd.To, Step: step})
-				s.Recv[snd.To] = step
-				remaining--
+				kept = append(kept, k)
 			}
-			if len(kept) == 0 {
-				delete(pending, v)
-			} else {
-				pending[v] = append([]Send(nil), kept...)
-			}
+			sc.left[i] = int32(len(kept))
 		}
 	}
 	sortUnicasts(s.Unicasts)
@@ -182,13 +173,13 @@ func scheduleAllPort(t *Tree) *Schedule {
 }
 
 func sortUnicasts(us []Unicast) {
-	sort.SliceStable(us, func(i, j int) bool {
-		if us[i].Step != us[j].Step {
-			return us[i].Step < us[j].Step
+	slices.SortStableFunc(us, func(a, b Unicast) int {
+		if c := cmp.Compare(a.Step, b.Step); c != 0 {
+			return c
 		}
-		if us[i].From != us[j].From {
-			return us[i].From < us[j].From
+		if c := cmp.Compare(a.From, b.From); c != 0 {
+			return c
 		}
-		return us[i].To < us[j].To
+		return cmp.Compare(a.To, b.To)
 	})
 }

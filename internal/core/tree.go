@@ -8,7 +8,7 @@ package core
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 
 	"hypercube/internal/chain"
 	"hypercube/internal/topology"
@@ -72,25 +72,49 @@ func ParseAlgorithm(name string) (Algorithm, error) {
 // Send is one constituent unicast of a multicast tree, in absolute node
 // addresses. Payload carries the relative sub-chain the recipient becomes
 // responsible for (To first); it is what a real implementation would place
-// in the message's address field.
+// in the message's address field. A payload may be a capacity-clipped
+// window into the chain it was split from, shared with other sends' payloads:
+// payloads are read-only.
 type Send struct {
 	From, To topology.NodeID
 	Payload  chain.Chain
 }
 
 // Tree is a multicast implementation: a tree of unicasts rooted at Source
-// covering every destination. Sends are stored grouped by sender in issue
-// order — the order in which the algorithm emits them at that node, which
-// the schedulers must respect per outgoing channel.
+// covering every destination. Sends are stored in one slice grouped by
+// sender in Order order, each sender's run in issue order — the order in
+// which the algorithm emits them at that node, which the schedulers must
+// respect per outgoing channel. SendsAt(i) is the run of Order[i].
 type Tree struct {
 	Cube      topology.Cube
 	Source    topology.NodeID
 	Algorithm Algorithm
-	// Sends maps each sending node to its ordered outgoing unicasts.
-	Sends map[topology.NodeID][]Send
 	// Order lists senders in construction order (source first, then
-	// recipients in the order they were reached). Deterministic.
+	// recipients in the order they were reached). Deterministic. Trees
+	// grown breadth first (chain algorithms, and every BuildDistributed
+	// tree) also list their leaves; Build's SF-binomial and
+	// separate-addressing trees list senders only.
 	Order []topology.NodeID
+
+	sends []Send
+	first []int32 // Order[i] sends sends[first[i]:first[i+1]]
+}
+
+// SendsAt returns the sends of Order[i] in issue order. The slice aliases
+// the tree and must not be modified.
+func (t *Tree) SendsAt(i int) []Send {
+	return t.sends[t.first[i]:t.first[i+1]:t.first[i+1]]
+}
+
+// SendsFrom returns the sends of node v in issue order (nil when v sends
+// nothing). It scans Order; hot paths walk Order with SendsAt instead.
+func (t *Tree) SendsFrom(v topology.NodeID) []Send {
+	for i, u := range t.Order {
+		if u == v {
+			return t.SendsAt(i)
+		}
+	}
+	return nil
 }
 
 // Build constructs the multicast tree for algorithm a from src to dests on
@@ -138,96 +162,110 @@ func nextCombine(ch chain.Chain, left, right int) int {
 }
 
 // buildChainTree runs the generic splitter of Figure 4 with a pluggable
-// next-selection policy. Every node, upon "receiving" its sub-chain,
-// repeatedly transmits to ch[next] the tail [next+1..right] and shrinks its
-// own responsibility to [left..next-1].
+// next-selection policy at every node, in BFS order.
 func buildChainTree(c topology.Cube, a Algorithm, src topology.NodeID, ch chain.Chain, policy func(chain.Chain, int, int) int) *Tree {
-	t := newTree(c, a, src)
-	type job struct{ left, right int }
-	queue := []job{{0, len(ch) - 1}}
-	for len(queue) > 0 {
-		j := queue[0]
-		queue = queue[1:]
-		left, right := j.left, j.right
-		from := t.abs(ch[left])
-		t.touch(from)
-		for right > left {
-			next := policy(ch, left, right)
-			if next <= left || next > right {
-				panic(fmt.Sprintf("core: policy returned %d outside (%d,%d]", next, left, right))
-			}
-			payload := make(chain.Chain, right-next+1)
-			copy(payload, ch[next:right+1])
-			t.addSend(Send{From: from, To: t.abs(ch[next]), Payload: payload})
-			queue = append(queue, job{next, right})
-			right = next - 1
-		}
+	t := &Tree{
+		Cube: c, Source: src, Algorithm: a,
+		Order: make([]topology.NodeID, 0, len(ch)),
+		sends: make([]Send, 0, len(ch)-1),
+		first: make([]int32, 0, len(ch)+1),
 	}
+	return t.grow(ch, func(dst []Send, _ topology.NodeID, p chain.Chain) []Send {
+		return appendChainSends(dst, c, src, p, policy)
+	})
+}
+
+// grow completes an empty t breadth first from the source's address
+// field: every node, in delivery order, appends the sends local derives
+// from the payload it received. Delivery k carries send k-1, so the walk
+// indexes the sends already emitted instead of keeping a queue, Order
+// lists every node (leaves included) with Order[k+1] == sends[k].To, and
+// each node's sends land contiguously in Order order.
+func (t *Tree) grow(payload chain.Chain, local func(dst []Send, node topology.NodeID, payload chain.Chain) []Send) *Tree {
+	t.Order = append(t.Order, t.Source)
+	t.first = append(t.first, 0)
+	t.sends = local(t.sends, t.Source, payload)
+	for k := 0; k < len(t.sends); k++ {
+		s := t.sends[k]
+		t.Order = append(t.Order, s.To)
+		t.first = append(t.first, int32(len(t.sends)))
+		t.sends = local(t.sends, s.To, s.Payload)
+	}
+	t.first = append(t.first, int32(len(t.sends)))
 	return t
 }
 
-func newTree(c topology.Cube, a Algorithm, src topology.NodeID) *Tree {
-	return &Tree{
-		Cube:      c,
-		Source:    src,
-		Algorithm: a,
-		Sends:     make(map[topology.NodeID][]Send),
+// appendChainSends appends the unicasts node ch[0] issues for its
+// sub-chain ch, in issue order: it repeatedly transmits to ch[next] the
+// tail [next+1..right] and shrinks its own responsibility to
+// [0..next-1]. Payloads are capacity-clipped windows of ch.
+func appendChainSends(dst []Send, c topology.Cube, src topology.NodeID, ch chain.Chain, policy func(chain.Chain, int, int) int) []Send {
+	if len(ch) == 0 {
+		return dst
 	}
-}
-
-// abs converts a relative canonical address to an absolute address for this
-// tree's cube and source.
-func (t *Tree) abs(rel topology.NodeID) topology.NodeID {
-	return t.Cube.Canon(rel ^ t.Cube.Canon(t.Source))
-}
-
-// rel converts an absolute address to relative canonical space.
-func (t *Tree) rel(abs topology.NodeID) topology.NodeID {
-	return t.Cube.Canon(abs) ^ t.Cube.Canon(t.Source)
-}
-
-func (t *Tree) touch(v topology.NodeID) {
-	if _, ok := t.Sends[v]; !ok {
-		t.Sends[v] = nil
-		t.Order = append(t.Order, v)
+	from := absOf(c, src, ch[0])
+	for right := len(ch) - 1; right > 0; {
+		next := policy(ch, 0, right)
+		if next <= 0 || next > right {
+			panic(fmt.Sprintf("core: policy returned %d outside (0,%d]", next, right))
+		}
+		dst = append(dst, Send{From: from, To: absOf(c, src, ch[next]), Payload: ch[next : right+1 : right+1]})
+		right = next - 1
 	}
+	return dst
 }
 
-func (t *Tree) addSend(s Send) {
-	t.touch(s.From)
-	t.Sends[s.From] = append(t.Sends[s.From], s)
+// grouped returns the tree of sends listed in any sender order: Order is
+// the source followed by every other sender in order of its first send,
+// and each sender's sends keep their relative order.
+func grouped(c topology.Cube, a Algorithm, src topology.NodeID, sends []Send) *Tree {
+	t := &Tree{Cube: c, Source: src, Algorithm: a, Order: []topology.NodeID{src}}
+	pos := map[topology.NodeID]int32{src: 0}
+	for _, s := range sends {
+		if _, ok := pos[s.From]; !ok {
+			pos[s.From] = int32(len(t.Order))
+			t.Order = append(t.Order, s.From)
+		}
+	}
+	t.first = make([]int32, len(t.Order)+1)
+	for _, s := range sends {
+		t.first[pos[s.From]+1]++
+	}
+	for i := 1; i < len(t.first); i++ {
+		t.first[i] += t.first[i-1]
+	}
+	fill := slices.Clone(t.first[:len(t.Order)])
+	t.sends = make([]Send, len(sends))
+	for _, s := range sends {
+		i := pos[s.From]
+		t.sends[fill[i]] = s
+		fill[i]++
+	}
+	return t
 }
 
 // Unicasts returns every constituent unicast, senders in construction order
 // and each sender's sends in issue order.
 func (t *Tree) Unicasts() []Send {
-	var out []Send
-	for _, v := range t.Order {
-		out = append(out, t.Sends[v]...)
-	}
-	return out
+	return slices.Clone(t.sends)
 }
 
 // Destinations returns the set of nodes that receive the message, in
 // ascending address order. For chain algorithms this equals the destination
 // set; for SFBinomial it also includes relay processors.
 func (t *Tree) Destinations() []topology.NodeID {
-	set := map[topology.NodeID]bool{}
-	for _, s := range t.Unicasts() {
-		set[s.To] = true
+	out := make([]topology.NodeID, len(t.sends))
+	for i, s := range t.sends {
+		out[i] = s.To
 	}
-	out := make([]topology.NodeID, 0, len(set))
-	for v := range set {
-		out = append(out, v)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
+	slices.Sort(out)
+	return slices.Compact(out)
 }
 
 // Parent returns each receiver's sender. The source has no entry.
 func (t *Tree) Parent() map[topology.NodeID]topology.NodeID {
-	p := make(map[topology.NodeID]topology.NodeID)
-	for _, s := range t.Unicasts() {
+	p := make(map[topology.NodeID]topology.NodeID, len(t.sends))
+	for _, s := range t.sends {
 		p[s.To] = s.From
 	}
 	return p
@@ -241,7 +279,7 @@ func (t *Tree) Reachable(u topology.NodeID) map[topology.NodeID]bool {
 	for len(stack) > 0 {
 		v := stack[len(stack)-1]
 		stack = stack[:len(stack)-1]
-		for _, s := range t.Sends[v] {
+		for _, s := range t.SendsFrom(v) {
 			if !r[s.To] {
 				r[s.To] = true
 				stack = append(stack, s.To)
@@ -251,17 +289,32 @@ func (t *Tree) Reachable(u topology.NodeID) map[topology.NodeID]bool {
 	return r
 }
 
-// Validate panics unless the tree is a well-formed multicast covering
-// exactly the expected destination set: every node is reached at most once,
-// every sender was reached before sending, and (for chain algorithms)
-// receivers are exactly the destinations.
+// Validate panics unless the tree is a well-formed multicast rooted at
+// Source: the send layout is consistent (one offset per Order entry plus
+// one, starting at 0, monotone, ending at the send count), every send in
+// SendsAt(i) is issued by Order[i], no node appears twice in Order, no node
+// is reached twice (the source counts as reached), and every sender was
+// reached before Order lists it. It does not compare the receivers with a
+// destination set; callers check coverage against Destinations.
 func (t *Tree) Validate() {
+	if len(t.first) != len(t.Order)+1 || t.first[0] != 0 || int(t.first[len(t.Order)]) != len(t.sends) {
+		panic("core: send offsets do not match Order")
+	}
+	listed := make(map[topology.NodeID]bool, len(t.Order))
 	reached := map[topology.NodeID]bool{t.Source: true}
-	for _, v := range t.Order {
-		if !reached[v] && len(t.Sends[v]) > 0 {
+	for i, v := range t.Order {
+		if t.first[i] > t.first[i+1] {
+			panic("core: send offsets not monotone")
+		}
+		if listed[v] {
+			panic(fmt.Sprintf("core: node %d listed twice in Order", v))
+		}
+		listed[v] = true
+		sends := t.SendsAt(i)
+		if !reached[v] && len(sends) > 0 {
 			panic(fmt.Sprintf("core: node %d sends before receiving", v))
 		}
-		for _, s := range t.Sends[v] {
+		for _, s := range sends {
 			if s.From != v {
 				panic("core: send stored under wrong sender")
 			}

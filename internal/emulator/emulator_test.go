@@ -88,8 +88,8 @@ func TestEmulatedForwardCounts(t *testing.T) {
 	res := e.Run(core.WSort, 0, dests, []byte("x"))
 	tr := core.Build(cube, core.WSort, 0, dests)
 	for v, rec := range res.Receipts {
-		if rec.Forwards != len(tr.Sends[v]) {
-			t.Errorf("node %v forwards = %d, tree says %d", v, rec.Forwards, len(tr.Sends[v]))
+		if want := len(tr.SendsFrom(v)); rec.Forwards != want {
+			t.Errorf("node %v forwards = %d, tree says %d", v, rec.Forwards, want)
 		}
 	}
 }

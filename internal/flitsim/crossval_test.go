@@ -137,7 +137,7 @@ func flitTree(cube topology.Cube, tr *core.Tree, flits int, S, R int64) map[topo
 			if v != tr.Source {
 				ready = delivered[v] + R
 			}
-			for k := range tr.Sends[v] {
+			for k := range tr.SendsFrom(v) {
 				next[idx] = ready + int64(k+1)*S
 				if next[idx] != starts[idx] {
 					changed = true
@@ -156,8 +156,8 @@ func flitTree(cube topology.Cube, tr *core.Tree, flits int, S, R int64) map[topo
 // orderedSenders yields senders in the same order Unicasts flattens them.
 func orderedSenders(tr *core.Tree) []topology.NodeID {
 	var out []topology.NodeID
-	for _, v := range tr.Order {
-		if len(tr.Sends[v]) > 0 {
+	for i, v := range tr.Order {
+		if len(tr.SendsAt(i)) > 0 {
 			out = append(out, v)
 		}
 	}
@@ -241,7 +241,7 @@ func convergedStarts(tr *core.Tree, delivered map[topology.NodeID]int64, S, R in
 		if v != tr.Source {
 			ready = delivered[v] + R
 		}
-		for k := range tr.Sends[v] {
+		for k := range tr.SendsFrom(v) {
 			starts = append(starts, ready+int64(k+1)*S)
 		}
 	}

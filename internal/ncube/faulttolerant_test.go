@@ -141,7 +141,7 @@ func TestOnTreeLinkFaultRepaired(t *testing.T) {
 		t.Run(a.String(), func(t *testing.T) {
 			// Fail the first hop of the source's first unicast — always on
 			// the tree, and upstream of a whole subtree.
-			first := core.Build(cube, a, 0, dests).Sends[0][0]
+			first := core.Build(cube, a, 0, dests).SendsFrom(0)[0]
 			arc := cube.PathArcs(first.From, first.To)[0]
 			jp := ftParams()
 			res, err := RunFaultTolerant(jp, cube, a, 0, dests, 64,
@@ -167,7 +167,7 @@ func TestTransientFaultRecoversByRetry(t *testing.T) {
 	dests := allNodes(cube, 0)
 	jp := ftParams()
 	jp.AckTimeout = 2 * event.Millisecond
-	first := core.Build(cube, core.UCube, 0, dests).Sends[0][0]
+	first := core.Build(cube, core.UCube, 0, dests).SendsFrom(0)[0]
 	arc := cube.PathArcs(first.From, first.To)[0]
 	res, err := RunFaultTolerant(jp, cube, core.UCube, 0, dests, 64,
 		faults.Plan{Links: []faults.LinkFault{{Arc: arc, From: 0, Until: 3 * event.Millisecond}}})
@@ -191,7 +191,7 @@ func TestNodeCrashSubtreeRerouted(t *testing.T) {
 	dests := allNodes(cube, 0)
 	for _, a := range ftAlgorithms {
 		t.Run(a.String(), func(t *testing.T) {
-			first := core.Build(cube, a, 0, dests).Sends[0][0]
+			first := core.Build(cube, a, 0, dests).SendsFrom(0)[0]
 			res, err := RunFaultTolerant(ftParams(), cube, a, 0, dests, 64,
 				faults.Plan{Nodes: []faults.NodeFault{{Node: first.To, At: 0}}})
 			if err != nil {
@@ -220,7 +220,7 @@ func TestNodeCrashSubtreeRerouted(t *testing.T) {
 func TestSFBinomialCrashRepair(t *testing.T) {
 	cube := topology.New(3, topology.HighToLow)
 	dests := allNodes(cube, 0)
-	first := core.Build(cube, core.SFBinomial, 0, dests).Sends[0][0]
+	first := core.Build(cube, core.SFBinomial, 0, dests).SendsFrom(0)[0]
 	res, err := RunFaultTolerant(ftParams(), cube, core.SFBinomial, 0, dests, 64,
 		faults.Plan{Nodes: []faults.NodeFault{{Node: first.To, At: 0}}})
 	if err != nil {

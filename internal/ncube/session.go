@@ -274,9 +274,10 @@ func (s *Session) InjectTree(at event.Time, tr *core.Tree, bytes int, done func(
 	if n := tr.Cube.Nodes(); n <= denseNodeLimit {
 		op.nodes.dense = carve(&s.nodes, n)
 	} else {
-		op.nodes.sparse = make(map[topology.NodeID]*opNode, len(tr.Sends))
+		op.nodes.sparse = make(map[topology.NodeID]*opNode, len(tr.Order))
 	}
-	for v, sends := range tr.Sends {
+	for i, v := range tr.Order {
+		sends := tr.SendsAt(i)
 		op.nodes.state(op, v).sends = sends
 		op.expected += len(sends)
 	}
