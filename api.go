@@ -271,7 +271,7 @@ func Broadcast(c Cube, a Algorithm, src NodeID) *Tree {
 // the cube using a deterministic seed, matching the paper's randomized
 // workloads.
 func RandomDests(c Cube, seed int64, src NodeID, m int) []NodeID {
-	return workload.NewGenerator(c, seed).Dests(src, m)
+	return workload.DrawDests(c, seed, src, m)
 }
 
 // CollectiveResult reports one collective operation's simulated execution.
@@ -321,7 +321,8 @@ func ReduceTree(p MachineParams, t *Tree, bytes int, tCompute Time) CollectiveRe
 // vectors left behind by a data-carrying collective. Payloads ride the
 // same event schedule as the timing-only collectives — they never alter
 // it — and every data-carrying entry point verifies the delivered data
-// against the analytic expectation before returning.
+// against the analytic expectation before returning. The entry points
+// never modify their input vectors.
 type CollectiveDataResult = collective.DataResult
 
 // RandomCollectiveData synthesizes the seeded integer-valued per-node

@@ -299,9 +299,11 @@ func latestBaseline(dir string) (string, error) {
 // benchstat-style before/after table and returns an error describing every
 // regression, or nil when the gate passes.
 //
-// Allocation counts additionally get a small absolute slack (a handful of
-// allocs) so runtime-internal jitter on a nearly-allocation-free benchmark
-// cannot flip the gate.
+// Bytes per op are gated with the allocs tolerance. Both get a small
+// absolute slack (a handful of allocs, 64 KiB) so runtime-internal jitter
+// on a nearly-allocation-free benchmark — a pooled buffer the GC dropped —
+// cannot flip the gate. Baselines that predate B/op recording (bytes_op 0)
+// gate allocs and ns only.
 func gateCompare(baselinePath string, tolNs, tolAllocs float64) error {
 	doc, err := readBenchDoc(baselinePath)
 	if err != nil {
@@ -316,21 +318,22 @@ func gateCompare(baselinePath string, tolNs, tolAllocs float64) error {
 	}
 	cur := runGate()
 
-	const allocSlack = 8.0
-	fmt.Printf("\ngate vs %s (tolerance: ns %+.0f%%, allocs %+.0f%%)\n", baselinePath, tolNs*100, tolAllocs*100)
-	fmt.Printf("%-34s %14s %14s %8s %14s %14s %8s\n",
-		"benchmark", "old ns/op", "new ns/op", "delta", "old allocs", "new allocs", "delta")
+	const allocSlack, bytesSlack = 8.0, 64 << 10
+	fmt.Printf("\ngate vs %s (tolerance: ns %+.0f%%, allocs and B/op %+.0f%%)\n", baselinePath, tolNs*100, tolAllocs*100)
+	fmt.Printf("%-34s %14s %14s %8s %14s %14s %8s %12s %12s %8s\n",
+		"benchmark", "old ns/op", "new ns/op", "delta", "old allocs", "new allocs", "delta", "old B/op", "new B/op", "delta")
 	var failures []string
 	for _, c := range cur {
 		b, ok := base[c.Name]
 		if !ok {
-			fmt.Printf("%-34s %14s %14.0f %8s %14s %14.0f %8s\n",
-				c.Name, "-", c.NsPerOp, "new", "-", c.AllocsPerOp, "new")
+			fmt.Printf("%-34s %14s %14.0f %8s %14s %14.0f %8s %12s %12.0f %8s\n",
+				c.Name, "-", c.NsPerOp, "new", "-", c.AllocsPerOp, "new", "-", c.BytesPerOp, "new")
 			continue
 		}
-		fmt.Printf("%-34s %14.0f %14.0f %7.1f%% %14.0f %14.0f %7.1f%%\n",
+		fmt.Printf("%-34s %14.0f %14.0f %7.1f%% %14.0f %14.0f %7.1f%% %12.0f %12.0f %7.1f%%\n",
 			c.Name, b.NsPerOp, c.NsPerOp, pct(b.NsPerOp, c.NsPerOp),
-			b.AllocsPerOp, c.AllocsPerOp, pct(b.AllocsPerOp, c.AllocsPerOp))
+			b.AllocsPerOp, c.AllocsPerOp, pct(b.AllocsPerOp, c.AllocsPerOp),
+			b.BytesPerOp, c.BytesPerOp, pct(b.BytesPerOp, c.BytesPerOp))
 		if c.NsPerOp > b.NsPerOp*(1+tolNs) {
 			failures = append(failures, fmt.Sprintf("%s: ns/op %.0f exceeds baseline %.0f by more than %.0f%%",
 				c.Name, c.NsPerOp, b.NsPerOp, tolNs*100))
@@ -338,6 +341,10 @@ func gateCompare(baselinePath string, tolNs, tolAllocs float64) error {
 		if c.AllocsPerOp > b.AllocsPerOp*(1+tolAllocs)+allocSlack {
 			failures = append(failures, fmt.Sprintf("%s: allocs/op %.0f exceeds baseline %.0f by more than %.0f%%",
 				c.Name, c.AllocsPerOp, b.AllocsPerOp, tolAllocs*100))
+		}
+		if b.BytesPerOp > 0 && c.BytesPerOp > b.BytesPerOp*(1+tolAllocs)+bytesSlack {
+			failures = append(failures, fmt.Sprintf("%s: B/op %.0f exceeds baseline %.0f by more than %.0f%%",
+				c.Name, c.BytesPerOp, b.BytesPerOp, tolAllocs*100))
 		}
 	}
 	if err := gateSpeedup(cur); err != nil {

@@ -73,7 +73,7 @@ func main() {
 		gate      = flag.Bool("gate", false, "run the pinned benchmark gate against the committed baseline and exit")
 		baseline  = flag.String("baseline", "", "baseline `file` for -gate (default: latest results/BENCH_*.json with gate data)")
 		tolNs     = flag.Float64("tol-ns", 0.40, "relative ns/op regression tolerance for -gate")
-		tolAllocs = flag.Float64("tol-allocs", 0.15, "relative allocs/op regression tolerance for -gate")
+		tolAllocs = flag.Float64("tol-allocs", 0.15, "relative allocs/op and B/op regression tolerance for -gate")
 		scaling   = flag.Bool("scaling", false, "measure parallel-executor speedup vs workers {1,2,4,8} and write results/parallel_speedup.{txt,csv}")
 	)
 	obs := cliutil.ObservabilityFlags()

@@ -100,7 +100,7 @@ func main() {
 			lTrials := 0
 			for tr := 0; tr < *trials; tr++ {
 				tseed := *seed + int64(p*(*trials)+tr)
-				dests := workload.NewGenerator(cube, tseed).Dests(src, *m)
+				dests := workload.DrawDests(cube, tseed, src, *m)
 				plan := faults.Plan{Seed: tseed}
 				switch *mode {
 				case "links":

@@ -1,13 +1,14 @@
 // Native fuzz target for the data-carrying reduction collectives: every
 // entry point verifies the payloads it delivers against the analytic
 // expectation internally, so the property under fuzz is simply "no entry
-// point ever returns a verification error or panics" across random
-// dimensions, port models, payload seeds, block sizes, roots, and
-// compute charges. Dimensions stay <= 5 (32 nodes) so one case runs all
+// point ever returns a verification error, panics, or modifies its input"
+// across random dimensions, port models, payload seeds, block sizes,
+// roots, and compute charges. Dimensions stay <= 5 (32 nodes) so one case runs all
 // five collectives in well under a millisecond.
 package hypercube_test
 
 import (
+	"reflect"
 	"testing"
 
 	"hypercube/internal/collective"
@@ -39,20 +40,25 @@ func FuzzReducePayload(f *testing.F) {
 		in := collective.RandomData(seed, n, n*blockElems)
 		root := topology.NodeID(rootRaw % uint32(n))
 
-		if _, err := collective.ReduceData(p, cube, root, in, tc); err != nil {
-			t.Fatalf("ReduceData(dim=%d root=%d): %v", dim, root, err)
+		// The standalone entry points copy their input: each call must
+		// leave in exactly as the caller built it.
+		snap := make([][]float64, n)
+		for v := range in {
+			snap[v] = append([]float64(nil), in[v]...)
 		}
-		if _, err := collective.ReduceScatter(p, cube, in, tc); err != nil {
-			t.Fatalf("ReduceScatter(dim=%d): %v", dim, err)
+		check := func(name string, f func() (collective.DataResult, error)) {
+			t.Helper()
+			if _, err := f(); err != nil {
+				t.Fatalf("%s(dim=%d root=%d): %v", name, dim, root, err)
+			}
+			if !reflect.DeepEqual(in, snap) {
+				t.Fatalf("%s(dim=%d root=%d) modified its input", name, dim, root)
+			}
 		}
-		if _, err := collective.AllReduceHD(p, cube, in, tc); err != nil {
-			t.Fatalf("AllReduceHD(dim=%d): %v", dim, err)
-		}
-		if _, err := collective.AllReduceRing(p, cube, in, tc); err != nil {
-			t.Fatalf("AllReduceRing(dim=%d): %v", dim, err)
-		}
-		if _, err := collective.AllToAll(p, cube, in); err != nil {
-			t.Fatalf("AllToAll(dim=%d): %v", dim, err)
-		}
+		check("ReduceData", func() (collective.DataResult, error) { return collective.ReduceData(p, cube, root, in, tc) })
+		check("ReduceScatter", func() (collective.DataResult, error) { return collective.ReduceScatter(p, cube, in, tc) })
+		check("AllReduceHD", func() (collective.DataResult, error) { return collective.AllReduceHD(p, cube, in, tc) })
+		check("AllReduceRing", func() (collective.DataResult, error) { return collective.AllReduceRing(p, cube, in, tc) })
+		check("AllToAll", func() (collective.DataResult, error) { return collective.AllToAll(p, cube, in) })
 	})
 }

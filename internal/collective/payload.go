@@ -5,9 +5,17 @@
 // the event schedule its timing-only counterpart would, while the final
 // per-node vectors expose any block delivered to the wrong node at the
 // wrong round. Every standalone entry point verifies its result against
-// the closed-form expectation (Expected*) element by element before
-// returning; substrate launches leave verification to the caller, who
-// holds the inputs.
+// the closed-form expectation element by element before returning;
+// substrate launches leave verification to the caller, who holds the
+// inputs.
+//
+// Ownership: a substrate launch (the ...On functions) takes ownership of
+// its input vectors and runs in place on them — DataResult.Data is those
+// same vectors, rewritten — and every message payload is a view of its
+// sender's buffer, not a copy (see each schedule for why the viewed range
+// is not written again before the receiver has absorbed it). The
+// standalone entry points copy the caller's input once, into one flat
+// backing, and never modify it.
 //
 // Arithmetic note: verification demands exact float64 equality, which
 // holds regardless of combine order whenever the inputs are integer-valued
@@ -21,6 +29,7 @@ import (
 	"hypercube/internal/event"
 	"hypercube/internal/ncube"
 	"hypercube/internal/topology"
+	"hypercube/internal/workload"
 	"hypercube/internal/wormhole"
 )
 
@@ -41,16 +50,42 @@ type DataResult struct {
 // seed: nodes vectors of elems elements each, values in [-512, 512). With
 // integer values, float64 sums are exact independent of association order
 // until 2^53 — so a verified result never depends on the schedule's
-// combine order.
+// combine order. The rows share one backing, each capacity-clipped so an
+// append to one cannot overwrite the next.
 func RandomData(seed int64, nodes, elems int) [][]float64 {
-	rng := rand.New(rand.NewSource(seed))
-	out := make([][]float64, nodes)
-	for v := range out {
-		vec := make([]float64, elems)
-		for i := range vec {
-			vec[i] = float64(rng.Intn(1024) - 512)
-		}
-		out[v] = vec
+	rng := workload.BorrowRand(seed)
+	defer workload.ReturnRand(rng)
+	out := matrix[float64](nodes, elems)
+	for _, row := range out {
+		fillRandom(rng, row)
+	}
+	return out
+}
+
+// fillRandom draws the next len(row) RandomData values from rng.
+func fillRandom(rng *rand.Rand, row []float64) {
+	for i := range row {
+		row[i] = float64(rng.Intn(1024) - 512)
+	}
+}
+
+// matrix returns a rows×cols matrix of zero values on one backing, each
+// row capacity-clipped.
+func matrix[T any](rows, cols int) [][]T {
+	backing := make([]T, rows*cols)
+	out := make([][]T, rows)
+	for r := range out {
+		out[r] = backing[r*cols : (r+1)*cols : (r+1)*cols]
+	}
+	return out
+}
+
+// cloneRows is the one copy a standalone entry point makes of its
+// (already validated, uniform-length) input before running in place.
+func cloneRows(in [][]float64) [][]float64 {
+	out := matrix[float64](len(in), len(in[0]))
+	for v := range in {
+		copy(out[v], in[v])
 	}
 	return out
 }
@@ -96,14 +131,6 @@ func uniformLen(cube topology.Cube, in [][]float64) int {
 	return l
 }
 
-func copyVecs(in [][]float64) [][]float64 {
-	out := make([][]float64, len(in))
-	for v := range in {
-		out[v] = append([]float64(nil), in[v]...)
-	}
-	return out
-}
-
 // columnSum is the elementwise sum over all nodes' vectors.
 func columnSum(in [][]float64) []float64 {
 	sum := append([]float64(nil), in[0]...)
@@ -116,41 +143,27 @@ func columnSum(in [][]float64) []float64 {
 }
 
 // ExpectedAllReduce returns the analytic allreduce expectation: every node
-// ends with the elementwise sum of all inputs.
+// ends with the elementwise sum of all inputs. The rows are one shared,
+// read-only column sum, so the expectation costs one vector, not N; it
+// does not alias in, so it may be built before a launch consumes in.
 func ExpectedAllReduce(in [][]float64) [][]float64 {
 	sum := columnSum(in)
 	out := make([][]float64, len(in))
 	for v := range out {
-		out[v] = append([]float64(nil), sum...)
+		out[v] = sum
 	}
 	return out
 }
 
 // ExpectedReduceScatter returns the analytic reduce-scatter expectation:
-// node v ends with block v of the elementwise sum.
+// node v ends with block v of the elementwise sum. The rows are read-only
+// views of one column sum.
 func ExpectedReduceScatter(in [][]float64) [][]float64 {
 	sum := columnSum(in)
 	b := len(sum) / len(in)
 	out := make([][]float64, len(in))
 	for v := range out {
-		out[v] = append([]float64(nil), sum[v*b:(v+1)*b]...)
-	}
-	return out
-}
-
-// ExpectedAllToAll returns the analytic all-to-all expectation: slot s of
-// node v's result is block v of node s's input (the transpose of the
-// block matrix).
-func ExpectedAllToAll(in [][]float64) [][]float64 {
-	n := len(in)
-	b := len(in[0]) / n
-	out := make([][]float64, n)
-	for v := range out {
-		vec := make([]float64, 0, n*b)
-		for s := 0; s < n; s++ {
-			vec = append(vec, in[s][v*b:(v+1)*b]...)
-		}
-		out[v] = vec
+		out[v] = sum[v*b : (v+1)*b : (v+1)*b]
 	}
 	return out
 }
@@ -168,6 +181,68 @@ func VerifyData(got, want [][]float64) error {
 		for i := range want[v] {
 			if got[v][i] != want[v][i] {
 				return fmt.Errorf("collective: node %d element %d: got %v, want %v", v, i, got[v][i], want[v][i])
+			}
+		}
+	}
+	return nil
+}
+
+// VerifyAllToAll checks an all-to-all result against the transpose of
+// the block matrix in — slot s of node t's result must be block t of node
+// s's input — by index, materializing nothing, and names the first
+// divergence in source order.
+func VerifyAllToAll(got, in [][]float64) error {
+	if err := checkShape(got, len(in), len(in[0])); err != nil {
+		return err
+	}
+	for s, row := range in {
+		if err := checkSourceRow(got, s, row); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// VerifyAllToAllSeeded is VerifyAllToAll against the input
+// RandomData(seed, nodes, elems), re-streamed one row at a time instead
+// of kept — for callers whose launch consumed that input in place.
+func VerifyAllToAllSeeded(got [][]float64, seed int64, nodes, elems int) error {
+	if err := checkShape(got, nodes, elems); err != nil {
+		return err
+	}
+	rng := workload.BorrowRand(seed)
+	defer workload.ReturnRand(rng)
+	row := make([]float64, elems)
+	for s := 0; s < nodes; s++ {
+		fillRandom(rng, row)
+		if err := checkSourceRow(got, s, row); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// checkShape requires nodes result vectors of elems elements each.
+func checkShape(got [][]float64, nodes, elems int) error {
+	if len(got) != nodes {
+		return fmt.Errorf("collective: %d result vectors, want %d", len(got), nodes)
+	}
+	for v := range got {
+		if len(got[v]) != elems {
+			return fmt.Errorf("collective: node %d result length %d, want %d", v, len(got[v]), elems)
+		}
+	}
+	return nil
+}
+
+// checkSourceRow compares source s's input row, block by block, with
+// slot s of every node's all-to-all result.
+func checkSourceRow(got [][]float64, s int, row []float64) error {
+	b := len(row) / len(got)
+	for t := range got {
+		for j := 0; j < b; j++ {
+			if x, want := got[t][s*b+j], row[t*b+j]; x != want {
+				return fmt.Errorf("collective: node %d element %d: got %v, want %v", t, s*b+j, x, want)
 			}
 		}
 	}
@@ -204,12 +279,8 @@ func dataExchangeOn(e *engine, cube topology.Cube, rounds int, dimOf func(k int)
 	absorb func(v topology.NodeID, k int, data []float64),
 	tCompute event.Time) {
 	nodes := cube.Nodes()
-	buf := make([][][]float64, nodes)
-	got := make([][]bool, nodes)
-	for v := range buf {
-		buf[v] = make([][]float64, rounds)
-		got[v] = make([]bool, rounds)
-	}
+	buf := matrix[[]float64](nodes, rounds) // buf[v][k]: v's round-k payload
+	got := matrix[bool](nodes, rounds)
 	round := make([]int, nodes) // next round not yet started
 	var start func(v topology.NodeID)
 	advance := func(v topology.NodeID) {
@@ -261,17 +332,24 @@ func ownedRange(v topology.NodeID, d int) (lo, hi int) {
 // half into its own; after n rounds node v holds block v of the total.
 // The doubling rounds then cross dimensions 0..n-1, copying the
 // fully-reduced ranges back out until every node holds the whole sum.
-func halvingDoublingOn(e *engine, cube topology.Cube, in [][]float64, tCompute event.Time, scatterOnly bool) *DataResult {
-	b := blockOf(cube, in)
+//
+// Runs in place on work. Both kinds of payload are views of the sender's
+// vector. A halving payload is the partner's half, which the sender next
+// writes only when it absorbs the doubling round on the same dimension —
+// a message the partner sends after absorbing that halving payload; the
+// sender's halving and lower-dimension doubling writes all stay inside its
+// own half. A doubling payload is the sender's fully reduced range, which
+// its remaining (higher-dimension) doubling rounds never touch.
+func halvingDoublingOn(e *engine, cube topology.Cube, work [][]float64, tCompute event.Time, scatterOnly bool) *DataResult {
+	b := blockOf(cube, work)
 	n := cube.Dim()
-	work := copyVecs(in)
 	capture := func() [][]float64 {
 		if !scatterOnly {
-			return copyVecs(work)
+			return work
 		}
 		out := make([][]float64, len(work))
 		for v := range work {
-			out[v] = append([]float64(nil), work[v][v*b:(v+1)*b]...)
+			out[v] = work[v][v*b : (v+1)*b : (v+1)*b]
 		}
 		return out
 	}
@@ -294,7 +372,7 @@ func halvingDoublingOn(e *engine, cube topology.Cube, in [][]float64, tCompute e
 		} else {
 			lo, hi = ownedRange(v, d) // v's fully-reduced range
 		}
-		return append([]float64(nil), work[v][lo*b:hi*b]...)
+		return work[v][lo*b : hi*b]
 	}
 	absorb := func(v topology.NodeID, k int, data []float64) {
 		d := dimOf(k)
@@ -323,14 +401,16 @@ func ReduceScatter(p ncube.Params, cube topology.Cube, in [][]float64, tCompute 
 		panic("collective: negative reduce-scatter compute time")
 	}
 	e := newEngine(p, cube)
-	dr := halvingDoublingOn(e, cube, in, tCompute, true)
+	blockOf(cube, in)
+	dr := halvingDoublingOn(e, cube, cloneRows(in), tCompute, true)
 	e.finish()
 	return *dr, VerifyData(dr.Data, ExpectedReduceScatter(in))
 }
 
 // ReduceScatterOn launches ReduceScatter's schedule on a shared substrate
-// at the calendar's current time; the caller drives the queue and — since
-// it holds the inputs — verifies Data against ExpectedReduceScatter.
+// at the calendar's current time, taking ownership of in (it runs in
+// place; Data's rows are views of in). The caller drives the queue and
+// verifies Data against an ExpectedReduceScatter built before the launch.
 func ReduceScatterOn(sub Substrate, in [][]float64, tCompute event.Time) *DataResult {
 	if tCompute < 0 {
 		panic("collective: negative reduce-scatter compute time")
@@ -349,13 +429,16 @@ func AllReduceHD(p ncube.Params, cube topology.Cube, in [][]float64, tCompute ev
 		panic("collective: negative allreduce compute time")
 	}
 	e := newEngine(p, cube)
-	dr := halvingDoublingOn(e, cube, in, tCompute, false)
+	blockOf(cube, in)
+	dr := halvingDoublingOn(e, cube, cloneRows(in), tCompute, false)
 	e.finish()
 	return *dr, VerifyData(dr.Data, ExpectedAllReduce(in))
 }
 
-// AllReduceHDOn launches AllReduceHD's schedule on a shared substrate; the
-// caller drives the queue and verifies Data against ExpectedAllReduce.
+// AllReduceHDOn launches AllReduceHD's schedule on a shared substrate,
+// taking ownership of in (Data is in, reduced in place); the caller drives
+// the queue and verifies Data against an ExpectedAllReduce built before
+// the launch.
 func AllReduceHDOn(sub Substrate, in [][]float64, tCompute event.Time) *DataResult {
 	if tCompute < 0 {
 		panic("collective: negative allreduce compute time")
@@ -373,8 +456,14 @@ func AllReduceHDOn(sub Substrate, in [][]float64, tCompute event.Time) *DataResu
 // circulating the finished chunks. A node issues step s+1 as soon as it
 // has absorbed step s from its predecessor, so the pipeline keeps every
 // ring link busy.
-func allReduceRingOn(e *engine, cube topology.Cube, in [][]float64, tCompute event.Time) *DataResult {
-	b := blockOf(cube, in)
+//
+// Runs in place on work; each payload is a view of the shipped chunk. A
+// node next writes the chunk it shipped at step s when it absorbs step
+// s+N-1, a message that leaves its predecessor only after the receiver of
+// step s absorbed it and the chain of N-1 hand-offs it started came back
+// around the ring.
+func allReduceRingOn(e *engine, cube topology.Cube, work [][]float64, tCompute event.Time) *DataResult {
+	b := blockOf(cube, work)
 	nodes := cube.Nodes()
 	ring := make([]topology.NodeID, nodes) // position -> node (Gray code)
 	pos := make([]int, nodes)              // node -> position
@@ -383,8 +472,7 @@ func allReduceRingOn(e *engine, cube topology.Cube, in [][]float64, tCompute eve
 		ring[i] = g
 		pos[g] = i
 	}
-	work := copyVecs(in)
-	dr := attachData(e, func() [][]float64 { return copyVecs(work) })
+	dr := attachData(e, func() [][]float64 { return work })
 	if nodes == 1 {
 		e.finished(0, e.q.Now())
 		return dr
@@ -398,11 +486,8 @@ func allReduceRingOn(e *engine, cube topology.Cube, in [][]float64, tCompute eve
 		}
 		return mod(p + 1 - (s - (nodes - 1)))
 	}
-	stash := make([][][]float64, nodes) // per node, payloads keyed by step
-	expect := make([]int, nodes)        // next step to absorb, in order
-	for v := range stash {
-		stash[v] = make([][]float64, steps)
-	}
+	stash := matrix[[]float64](nodes, steps) // stash[v][s]: v's step-s payload
+	expect := make([]int, nodes)             // next step to absorb, in order
 	var send func(v topology.NodeID, s int)
 	absorb := func(v topology.NodeID, s int, data []float64) {
 		p := pos[v]
@@ -434,7 +519,7 @@ func allReduceRingOn(e *engine, cube topology.Cube, in [][]float64, tCompute eve
 	send = func(v topology.NodeID, s int) {
 		p := pos[v]
 		c := chunkSent(p, s)
-		payload := append([]float64(nil), work[v][c*b:(c+1)*b]...)
+		payload := work[v][c*b : (c+1)*b]
 		succ := ring[mod(p+1)]
 		spec := sendSpec{to: succ, bytes: len(payload) * ElemBytes, tag: s, data: payload}
 		e.sendSeq(v, []sendSpec{spec}, func(sp sendSpec, d wormhole.Delivery) {
@@ -459,13 +544,16 @@ func AllReduceRing(p ncube.Params, cube topology.Cube, in [][]float64, tCompute 
 		panic("collective: negative allreduce compute time")
 	}
 	e := newEngine(p, cube)
-	dr := allReduceRingOn(e, cube, in, tCompute)
+	blockOf(cube, in)
+	dr := allReduceRingOn(e, cube, cloneRows(in), tCompute)
 	e.finish()
 	return *dr, VerifyData(dr.Data, ExpectedAllReduce(in))
 }
 
-// AllReduceRingOn launches AllReduceRing's schedule on a shared substrate;
-// the caller drives the queue and verifies Data against ExpectedAllReduce.
+// AllReduceRingOn launches AllReduceRing's schedule on a shared substrate,
+// taking ownership of in (Data is in, reduced in place); the caller drives
+// the queue and verifies Data against an ExpectedAllReduce built before
+// the launch.
 func AllReduceRingOn(sub Substrate, in [][]float64, tCompute event.Time) *DataResult {
 	if tCompute < 0 {
 		panic("collective: negative allreduce compute time")
@@ -474,43 +562,22 @@ func AllReduceRingOn(sub Substrate, in [][]float64, tCompute event.Time) *DataRe
 	return allReduceRingOn(e, sub.Net.Cube(), in, tCompute)
 }
 
-// a2aKey packs a (source, destination) block identity into one map key.
-func a2aKey(n int, s, t int) int { return s<<uint(n) | t }
-
-// a2aSendIDs lists, in ascending key order, the (source, destination)
-// blocks node v ships across dimension k of the pairwise-exchange
-// all-to-all: everything v currently holds whose destination differs from
-// v in bit k. The invariant after rounds 0..k-1 — v holds exactly the
-// blocks whose destination agrees with v below bit k and whose source
-// agrees with v at bit k and above — makes the set closed-form, so the
-// receiver reconstructs block identities without per-block tags.
-func a2aSendIDs(n int, v topology.NodeID, k int) []int {
-	nodes := 1 << uint(n)
-	lowMask := 1<<uint(k) - 1
-	sLo := (int(v) >> uint(k)) << uint(k)
-	tLow := int(v)&lowMask | (int(v)>>uint(k)&1^1)<<uint(k)
-	out := make([]int, 0, nodes/2)
-	for s := sLo; s < sLo+1<<uint(k); s++ {
-		for hb := 0; hb < 1<<uint(n-k-1); hb++ {
-			out = append(out, a2aKey(n, s, hb<<uint(k+1)|tLow))
-		}
+// a2aRuns names the blocks node v exchanges across dimension k of the
+// pairwise-exchange all-to-all: f(slot, i) for each of the 2^(n-k-1) runs
+// of 2^k consecutive blocks, slot being the run's first block in v's
+// vector and i its index among the payload's runs. The slot layout is
+// closed-form: before round k, slot j of v holds the block whose
+// destination agrees with j on bits >= k and whose source agrees with j
+// on bits < k (every other bit of both is v's own). So the outgoing blocks
+// are the slots whose bit k differs from v's, and the partner's blocks,
+// packed in the same run order, land in exactly those slots. Kept blocks
+// never move: the layout starts as the input (slot = destination) and
+// ends as the result (slot = source).
+func a2aRuns(n int, v topology.NodeID, k int, f func(slot, i int)) {
+	side := (int(v) >> uint(k) & 1) ^ 1
+	for h := 0; h < 1<<uint(n-k-1); h++ {
+		f(h<<uint(k+1)|side<<uint(k), h)
 	}
-	return out
-}
-
-// a2aRecvIDs lists, in ascending key order, the blocks node v receives
-// across dimension k — its dimension-k partner's send set.
-func a2aRecvIDs(n int, v topology.NodeID, k int) []int {
-	nodes := 1 << uint(n)
-	tLow := int(v) & (1<<uint(k+1) - 1)
-	sBase := (int(v)>>uint(k+1))<<uint(k+1) | (int(v)>>uint(k)&1^1)<<uint(k)
-	out := make([]int, 0, nodes/2)
-	for s := sBase; s < sBase+1<<uint(k); s++ {
-		for hb := 0; hb < 1<<uint(n-k-1); hb++ {
-			out = append(out, a2aKey(n, s, hb<<uint(k+1)|tLow))
-		}
-	}
-	return out
 }
 
 // allToAllOn runs the pairwise-exchange (XOR) all-to-all: n rounds, one
@@ -519,43 +586,33 @@ func a2aRecvIDs(n int, v topology.NodeID, k int) []int {
 // partners until destination bits are satisfied dimension by dimension;
 // after round n-1 node v holds exactly the blocks addressed to it, one
 // from every source.
-func allToAllOn(e *engine, cube topology.Cube, in [][]float64) *DataResult {
-	b := blockOf(cube, in)
+//
+// Runs in place on work, with the slot layout of a2aRuns. A round's
+// outgoing blocks are not contiguous and their slots are refilled as soon
+// as the partner's payload is absorbed, so each node packs them into a
+// send buffer it owns: N/2 blocks, allocated once per node. The buffer
+// travels with the message, and the receiver adopts its partner's buffer
+// as its own once it has absorbed it, so a buffer is never packed while
+// any receiver still has to read it.
+func allToAllOn(e *engine, cube topology.Cube, work [][]float64) *DataResult {
+	b := blockOf(cube, work)
 	n := cube.Dim()
-	nodes := cube.Nodes()
-	held := make([]map[int][]float64, nodes)
-	for v := 0; v < nodes; v++ {
-		base := append([]float64(nil), in[v]...)
-		held[v] = make(map[int][]float64, nodes)
-		for t := 0; t < nodes; t++ {
-			held[v][a2aKey(n, v, t)] = base[t*b : (t+1)*b : (t+1)*b]
-		}
-	}
-	capture := func() [][]float64 {
-		out := make([][]float64, nodes)
-		for v := 0; v < nodes; v++ {
-			vec := make([]float64, 0, nodes*b)
-			for s := 0; s < nodes; s++ {
-				vec = append(vec, held[v][a2aKey(n, s, v)]...)
-			}
-			out[v] = vec
-		}
-		return out
-	}
-	dr := attachData(e, capture)
+	scratch := matrix[float64](cube.Nodes(), cube.Nodes()/2*b) // each node's send buffer
+	dr := attachData(e, func() [][]float64 { return work })
 	outbound := func(v topology.NodeID, k int) []float64 {
-		ids := a2aSendIDs(n, v, k)
-		payload := make([]float64, 0, len(ids)*b)
-		for _, id := range ids {
-			payload = append(payload, held[v][id]...)
-			delete(held[v], id)
-		}
+		payload, run := scratch[v], b<<uint(k)
+		scratch[v] = nil
+		a2aRuns(n, v, k, func(slot, i int) {
+			copy(payload[i*run:(i+1)*run], work[v][slot*b:slot*b+run])
+		})
 		return payload
 	}
 	absorb := func(v topology.NodeID, k int, data []float64) {
-		for i, id := range a2aRecvIDs(n, v, k) {
-			held[v][id] = data[i*b : (i+1)*b : (i+1)*b]
-		}
+		run := b << uint(k)
+		a2aRuns(n, v, k, func(slot, i int) {
+			copy(work[v][slot*b:slot*b+run], data[i*run:(i+1)*run])
+		})
+		scratch[v] = data
 	}
 	dataExchangeOn(e, cube, n, func(k int) int { return k }, outbound, absorb, 0)
 	return dr
@@ -564,16 +621,18 @@ func allToAllOn(e *engine, cube topology.Cube, in [][]float64) *DataResult {
 // AllToAll performs the complete block exchange — node v's input block t
 // ends as slot v of node t's result — via the pairwise-exchange schedule
 // (n rounds, N/2 blocks per message, each message one channel). Verified
-// against ExpectedAllToAll before returning.
+// with VerifyAllToAll before returning.
 func AllToAll(p ncube.Params, cube topology.Cube, in [][]float64) (DataResult, error) {
 	e := newEngine(p, cube)
-	dr := allToAllOn(e, cube, in)
+	blockOf(cube, in)
+	dr := allToAllOn(e, cube, cloneRows(in))
 	e.finish()
-	return *dr, VerifyData(dr.Data, ExpectedAllToAll(in))
+	return *dr, VerifyAllToAll(dr.Data, in)
 }
 
-// AllToAllOn launches AllToAll's schedule on a shared substrate; the
-// caller drives the queue and verifies Data against ExpectedAllToAll.
+// AllToAllOn launches AllToAll's schedule on a shared substrate, taking
+// ownership of in (Data is in, permuted in place); the caller drives the
+// queue and verifies Data with VerifyAllToAll or VerifyAllToAllSeeded.
 func AllToAllOn(sub Substrate, in [][]float64) *DataResult {
 	e := newEngineOn(sub)
 	return allToAllOn(e, sub.Net.Cube(), in)
@@ -584,11 +643,14 @@ func AllToAllOn(sub Substrate, in [][]float64) *DataResult {
 // (Reduce's exact schedule and message sizes), each hop shipping the
 // sender's accumulated vector and each receipt charging TRecv + tCompute
 // before folding into the local accumulator.
-func reduceDataOn(e *engine, cube topology.Cube, root topology.NodeID, in [][]float64, tCompute event.Time) *DataResult {
-	uniformLen(cube, in)
+//
+// Runs in place on acc. Each payload is a view of the sender's
+// accumulator, which is final when sent: every child has folded in, and a
+// node sends once.
+func reduceDataOn(e *engine, cube topology.Cube, root topology.NodeID, acc [][]float64, tCompute event.Time) *DataResult {
+	uniformLen(cube, acc)
 	n := cube.Dim()
-	acc := copyVecs(in)
-	dr := attachData(e, func() [][]float64 { return copyVecs(acc) })
+	dr := attachData(e, func() [][]float64 { return acc })
 	pending := make([]int, cube.Nodes())
 	var ready func(r topology.NodeID)
 	ready = func(r topology.NodeID) {
@@ -603,7 +665,7 @@ func reduceDataOn(e *engine, cube topology.Cube, root topology.NodeID, in [][]fl
 			to:    absOf(cube, root, parent),
 			bytes: len(acc[node]) * ElemBytes,
 			tag:   int(r),
-			data:  append([]float64(nil), acc[node]...),
+			data:  acc[node],
 		}
 		e.sendSeq(node, []sendSpec{spec}, func(s sendSpec, d wormhole.Delivery) {
 			e.finished(node, d.Arrived)
@@ -641,13 +703,15 @@ func ReduceData(p ncube.Params, cube topology.Cube, root topology.NodeID, in [][
 		panic("collective: negative reduce compute time")
 	}
 	e := newEngine(p, cube)
-	dr := reduceDataOn(e, cube, root, in, tCompute)
+	uniformLen(cube, in)
+	dr := reduceDataOn(e, cube, root, cloneRows(in), tCompute)
 	e.finish()
 	return *dr, VerifyData([][]float64{dr.Data[root]}, [][]float64{columnSum(in)})
 }
 
-// ReduceDataOn launches ReduceData's schedule on a shared substrate; the
-// caller drives the queue and verifies Data[root] against the column sum.
+// ReduceDataOn launches ReduceData's schedule on a shared substrate,
+// taking ownership of in (Data is in, accumulated in place); the caller
+// drives the queue and verifies Data[root] against the column sum.
 func ReduceDataOn(sub Substrate, root topology.NodeID, in [][]float64, tCompute event.Time) *DataResult {
 	cube := sub.Net.Cube()
 	cube.MustContain(root)

@@ -106,15 +106,18 @@ func TestExpectedHelpers(t *testing.T) {
 			t.Fatalf("reduce-scatter node %d: %v", v, rs[v])
 		}
 	}
-	a2a := ExpectedAllToAll(in)
-	want := [][]float64{
+	a2a := [][]float64{
 		{1, 10, 100, 1000},
 		{2, 20, 200, 2000},
 		{3, 30, 300, 3000},
 		{4, 40, 400, 4000},
 	}
-	if !reflect.DeepEqual(a2a, want) {
-		t.Fatalf("alltoall: %v", a2a)
+	if err := VerifyAllToAll(a2a, in); err != nil {
+		t.Fatalf("alltoall: %v", err)
+	}
+	a2a[2][1] = 21
+	if err := VerifyAllToAll(a2a, in); err == nil || !strings.Contains(err.Error(), "node 2 element 1") {
+		t.Fatalf("alltoall divergence: %v", err)
 	}
 }
 
@@ -147,5 +150,45 @@ func TestRandomDataIntegerValued(t *testing.T) {
 	}
 	if !reflect.DeepEqual(d, RandomData(42, 8, 16)) {
 		t.Fatal("RandomData not deterministic")
+	}
+}
+
+// RandomData's rows share one backing, so each must be capacity-clipped:
+// appending to row v reallocates instead of overwriting row v+1.
+func TestRandomDataRowsClipped(t *testing.T) {
+	d := RandomData(42, 4, 8)
+	next := append([]float64(nil), d[2]...)
+	d[1] = append(d[1], 1e9, 2e9)
+	if !reflect.DeepEqual(d[2], next) {
+		t.Fatalf("append to row 1 overwrote row 2: %v, want %v", d[2], next)
+	}
+	for v := range d {
+		if cap(d[v]) != len(d[v]) && v != 1 {
+			t.Errorf("row %d: cap %d, len %d", v, cap(d[v]), len(d[v]))
+		}
+	}
+}
+
+// VerifyAllToAllSeeded re-streams RandomData instead of keeping it, and
+// must judge exactly as VerifyAllToAll against the materialized input.
+func TestVerifyAllToAllSeeded(t *testing.T) {
+	c := cube(3)
+	p := params(core.AllPort)
+	in := RandomData(77, c.Nodes(), c.Nodes()*2)
+	dr, err := AllToAll(p, c, in)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := VerifyAllToAllSeeded(dr.Data, 77, c.Nodes(), c.Nodes()*2); err != nil {
+		t.Fatalf("seeded verify: %v", err)
+	}
+	dr.Data[5][3]++
+	want := VerifyAllToAll(dr.Data, in)
+	got := VerifyAllToAllSeeded(dr.Data, 77, c.Nodes(), c.Nodes()*2)
+	if want == nil || got == nil || got.Error() != want.Error() {
+		t.Fatalf("corrupted result: seeded %v, materialized %v", got, want)
+	}
+	if err := VerifyAllToAllSeeded(dr.Data[:7], 77, c.Nodes(), c.Nodes()*2); err == nil {
+		t.Fatal("short result accepted")
 	}
 }

@@ -12,7 +12,6 @@ import (
 	"hypercube/internal/topology"
 	"hypercube/internal/traffic"
 	"hypercube/internal/vc"
-	"hypercube/internal/workload"
 )
 
 // This file defines the JSON wire types and, crucially, their
@@ -64,41 +63,13 @@ func parsePort(port string) (core.PortModel, error) {
 	return 0, badf("unknown port model %q (want one-port or all-port)", port)
 }
 
-// normalizeDests canonicalizes the (Dests | DestCount+Seed) pair: a random
-// draw is expanded deterministically, then the set is sorted, deduplicated,
-// and stripped of src. The canonical form always has explicit Dests, so a
-// random-draw request and its explicit-set equivalent share a cache entry.
+// normalizeDests canonicalizes the (Dests | DestCount+Seed) pair with
+// traffic.NormalizeDests, so a random-draw request and its explicit-set
+// equivalent share a cache entry; a rejection is a 400.
 func normalizeDests(cube topology.Cube, src topology.NodeID, dests []int, destCount int, seed int64) ([]int, error) {
-	n := cube.Nodes()
-	if len(dests) > 0 && destCount > 0 {
-		return nil, badf("give dests or dest_count, not both")
-	}
-	if destCount > 0 {
-		if destCount > n-1 {
-			return nil, badf("dest_count %d exceeds the %d-node cube's %d possible destinations", destCount, n, n-1)
-		}
-		drawn := workload.NewGenerator(cube, seed).Dests(src, destCount)
-		dests = make([]int, len(drawn))
-		for i, d := range drawn {
-			dests[i] = int(d)
-		}
-	}
-	if len(dests) == 0 {
-		return nil, badf("empty destination set (give dests or dest_count)")
-	}
-	sort.Ints(dests)
-	out := dests[:0]
-	for _, d := range dests {
-		if d < 0 || d >= n {
-			return nil, badf("destination %d outside the %d-node cube", d, n)
-		}
-		if topology.NodeID(d) == src || (len(out) > 0 && d == out[len(out)-1]) {
-			continue
-		}
-		out = append(out, d)
-	}
-	if len(out) == 0 {
-		return nil, badf("destination set contains only the source")
+	out, err := traffic.NormalizeDests(cube, int(src), dests, destCount, seed)
+	if err != nil {
+		return nil, badf("%v", err)
 	}
 	return out, nil
 }

@@ -393,20 +393,29 @@ func (e *engine) start(i int) {
 }
 
 // startData launches a data-carrying op: synthesize the seeded per-node
-// input vectors, run the payload schedule on the shared substrate, and —
-// at the instant the collective completes, before the op is marked done —
-// verify the delivered data element by element against the analytic
-// expectation. A mismatch fails the whole run: wrong data is a scheduling
+// input vectors, run the payload schedule on the shared substrate (which
+// consumes them in place), and — at the instant the collective completes,
+// before the op is marked done — verify the delivered data element by
+// element against the analytic expectation: a column sum taken before the
+// launch for the reductions, the input re-streamed from its seed for the
+// all-to-all. A mismatch fails the whole run: wrong data is a scheduling
 // bug, not a statistic.
 func (e *engine) startData(i int, sub collective.Substrate) {
 	st := &e.ops[i]
 	nodes := e.cube.Nodes()
-	in := collective.RandomData(e.spec.PayloadSeed(st.op), nodes, nodes*st.op.BlockElems())
+	seed, elems := e.spec.PayloadSeed(st.op), nodes*st.op.BlockElems()
+	in := collective.RandomData(seed, nodes, elems)
 	var want [][]float64
 	var dr *collective.DataResult
 	base := sub.OnDone
 	sub.OnDone = func(r collective.Result) {
-		if err := collective.VerifyData(dr.Data, want); err != nil {
+		var err error
+		if want != nil {
+			err = collective.VerifyData(dr.Data, want)
+		} else {
+			err = collective.VerifyAllToAllSeeded(dr.Data, seed, nodes, elems)
+		}
+		if err != nil {
 			if e.dataErr == nil {
 				e.dataErr = fmt.Errorf("traffic: op %q payload verification failed: %w", st.op.ID, err)
 			}
@@ -427,7 +436,6 @@ func (e *engine) startData(i int, sub collective.Substrate) {
 			dr = collective.AllReduceHDOn(sub, in, 0)
 		}
 	case KindAllToAll:
-		want = collective.ExpectedAllToAll(in)
 		dr = collective.AllToAllOn(sub, in)
 	}
 }

@@ -261,3 +261,61 @@ func TestBlockElemsAndPayloadSeed(t *testing.T) {
 		t.Errorf("payload seeds collide: %d", a)
 	}
 }
+
+// The aliasing wall: every data kind runs on one shared 6-cube network in
+// the middle of a multicast storm, so header blocking reorders deliveries
+// and absorbs arbitrarily against the schedules' own rounds — the regime
+// in which a payload view read after its sender rewrote it would surface.
+// Each op must verify at every lane count and worker count, and the
+// result must not depend on the worker count.
+func TestDataAliasingWall(t *testing.T) {
+	build := func(lanes int) *Spec {
+		s := &Spec{Dim: 6, Seed: 29, Arrivals: &Arrivals{
+			Kind: "poisson", Count: 96, RatePerMS: 0.5,
+			Op: Template{Kind: KindMulticast, Algorithm: "w-sort", DestCount: 32, Bytes: 4096},
+		}}
+		if lanes > 1 {
+			s.Lanes, s.VCPolicy = lanes, "round-robin"
+		}
+		for i, at := range []int64{0, 700, 1900} {
+			seed := int64(10 * i)
+			s.Ops = append(s.Ops,
+				Op{Kind: KindAllReduce, Algorithm: "hd", Bytes: 64, Seed: seed + 1, AtUS: at},
+				Op{Kind: KindAllReduce, Algorithm: "ring", Bytes: 64, Seed: seed + 2, AtUS: at},
+				Op{Kind: KindReduceScatter, Bytes: 64, Seed: seed + 3, AtUS: at},
+				Op{Kind: KindAllToAll, Bytes: 64, Seed: seed + 4, AtUS: at},
+			)
+		}
+		return s
+	}
+	for _, lanes := range []int{1, 2, 4} {
+		var want []byte
+		for _, workers := range []int{1, 2, 8} {
+			res, err := RunWorkers(build(lanes), workers)
+			if err != nil {
+				t.Fatalf("lanes=%d workers=%d: %v", lanes, workers, err)
+			}
+			data := 0
+			for _, op := range res.Ops {
+				if dataKind(op.Kind) {
+					data++
+					if !op.DataVerified {
+						t.Errorf("lanes=%d workers=%d op %s: data not verified", lanes, workers, op.ID)
+					}
+				}
+			}
+			if data != 12 {
+				t.Fatalf("lanes=%d workers=%d: %d data ops, want 12", lanes, workers, data)
+			}
+			got, err := json.Marshal(res)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if want == nil {
+				want = got
+			} else if string(got) != string(want) {
+				t.Errorf("lanes=%d: workers=%d result differs from workers=1", lanes, workers)
+			}
+		}
+	}
+}

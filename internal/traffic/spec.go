@@ -29,7 +29,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"math"
-	"math/rand"
 	"sort"
 
 	"hypercube/internal/collective"
@@ -664,44 +663,56 @@ func firstErr(checks ...func() error) error {
 	return nil
 }
 
-// normalizeDests canonicalizes the (Dests | DestCount+Seed) pair exactly
-// as the HTTP API does: a seeded draw is expanded deterministically, then
-// the set is sorted, deduplicated, and stripped of src.
+// normalizeDests canonicalizes op's destination fields with
+// NormalizeDests, leaving explicit Dests and no draw parameters.
 func normalizeDests(cube topology.Cube, op *Op) error {
-	n := cube.Nodes()
-	if len(op.Dests) > 0 && op.DestCount > 0 {
-		return fmt.Errorf("give dests or dest_count, not both")
+	dests, err := NormalizeDests(cube, op.Src, op.Dests, op.DestCount, op.Seed)
+	if err != nil {
+		return err
 	}
-	dests := op.Dests
-	if op.DestCount > 0 {
-		if op.DestCount > n-1 {
-			return fmt.Errorf("dest_count %d exceeds the %d-node cube's %d possible destinations", op.DestCount, n, n-1)
+	op.Dests, op.DestCount, op.Seed = dests, 0, 0
+	return nil
+}
+
+// NormalizeDests canonicalizes a (dests | destCount+seed) pair, the one
+// destination form of traffic specs and of the HTTP API: a seeded draw is
+// expanded with workload.DrawDests, then the set is sorted (in place),
+// deduplicated and stripped of src. The canonical form always lists its
+// destinations explicitly, so a draw and its explicit equivalent compare
+// equal.
+func NormalizeDests(cube topology.Cube, src int, dests []int, destCount int, seed int64) ([]int, error) {
+	n := cube.Nodes()
+	if len(dests) > 0 && destCount > 0 {
+		return nil, fmt.Errorf("give dests or dest_count, not both")
+	}
+	if destCount > 0 {
+		if destCount > n-1 {
+			return nil, fmt.Errorf("dest_count %d exceeds the %d-node cube's %d possible destinations", destCount, n, n-1)
 		}
-		drawn := workload.NewGenerator(cube, op.Seed).Dests(topology.NodeID(op.Src), op.DestCount)
+		drawn := workload.DrawDests(cube, seed, topology.NodeID(src), destCount)
 		dests = make([]int, len(drawn))
 		for i, d := range drawn {
 			dests[i] = int(d)
 		}
 	}
 	if len(dests) == 0 {
-		return fmt.Errorf("empty destination set (give dests or dest_count)")
+		return nil, fmt.Errorf("empty destination set (give dests or dest_count)")
 	}
 	sort.Ints(dests)
 	out := dests[:0]
 	for _, d := range dests {
 		if d < 0 || d >= n {
-			return fmt.Errorf("destination %d outside the %d-node cube", d, n)
+			return nil, fmt.Errorf("destination %d outside the %d-node cube", d, n)
 		}
-		if d == op.Src || (len(out) > 0 && d == out[len(out)-1]) {
+		if d == src || (len(out) > 0 && d == out[len(out)-1]) {
 			continue
 		}
 		out = append(out, d)
 	}
 	if len(out) == 0 {
-		return fmt.Errorf("destination set contains only the source")
+		return nil, fmt.Errorf("destination set contains only the source")
 	}
-	op.Dests, op.DestCount, op.Seed = out, 0, 0
-	return nil
+	return out, nil
 }
 
 // canonicalizeGroups validates a group-phase op and sorts each group's
@@ -761,7 +772,8 @@ func (s *Spec) expandArrivals(cube topology.Cube, lim Limits) error {
 	if a.Op.Src != nil && (*a.Op.Src < 0 || *a.Op.Src >= cube.Nodes()) {
 		return fmt.Errorf("traffic: arrivals src %d outside the %d-node cube", *a.Op.Src, cube.Nodes())
 	}
-	rng := rand.New(rand.NewSource(s.Seed))
+	rng := workload.BorrowRand(s.Seed)
+	defer workload.ReturnRand(rng)
 	stamp := func(i int) Op {
 		op := Op{
 			ID:        fmt.Sprintf("arr%03d", i),

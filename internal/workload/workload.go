@@ -7,6 +7,7 @@ package workload
 import (
 	"fmt"
 	"math/rand"
+	"sync"
 
 	"hypercube/internal/bits"
 	"hypercube/internal/topology"
@@ -27,7 +28,19 @@ func NewGenerator(cube topology.Cube, seed int64) *Generator {
 // src — the paper's "destination sets chosen randomly". It panics if m
 // exceeds N-1.
 func (g *Generator) Dests(src topology.NodeID, m int) []topology.NodeID {
-	n := g.cube.Nodes()
+	return drawDests(g.rng, g.cube, src, m)
+}
+
+// DrawDests is NewGenerator(cube, seed).Dests(src, m) — the same draw,
+// value for value — on a pooled source instead of a fresh 4.9 KB one.
+func DrawDests(cube topology.Cube, seed int64, src topology.NodeID, m int) []topology.NodeID {
+	rng := BorrowRand(seed)
+	defer ReturnRand(rng)
+	return drawDests(rng, cube, src, m)
+}
+
+func drawDests(rng *rand.Rand, cube topology.Cube, src topology.NodeID, m int) []topology.NodeID {
+	n := cube.Nodes()
 	if m < 0 || m > n-1 {
 		panic(fmt.Sprintf("workload: cannot draw %d destinations from a %d-node cube", m, n))
 	}
@@ -40,12 +53,29 @@ func (g *Generator) Dests(src topology.NodeID, m int) []topology.NodeID {
 	}
 	out := make([]topology.NodeID, m)
 	for i := 0; i < m; i++ {
-		j := i + g.rng.Intn(len(pool)-i)
+		j := i + rng.Intn(len(pool)-i)
 		pool[i], pool[j] = pool[j], pool[i]
 		out[i] = pool[i]
 	}
 	return out
 }
+
+// rands recycles seeded sources: rand.NewSource allocates 4.9 KB of
+// generator state, and re-seeding an existing *rand.Rand restores exactly
+// the state a fresh one starts from.
+var rands = sync.Pool{New: func() any { return rand.New(rand.NewSource(0)) }}
+
+// BorrowRand returns a pooled *rand.Rand seeded with seed: it yields the
+// same stream as rand.New(rand.NewSource(seed)). Hand it back with
+// ReturnRand once done and keep no reference to it afterwards.
+func BorrowRand(seed int64) *rand.Rand {
+	rng := rands.Get().(*rand.Rand)
+	rng.Seed(seed)
+	return rng
+}
+
+// ReturnRand gives a source from BorrowRand back to the pool.
+func ReturnRand(rng *rand.Rand) { rands.Put(rng) }
 
 // Source draws a uniformly random source node.
 func (g *Generator) Source() topology.NodeID {

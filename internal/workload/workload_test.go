@@ -1,7 +1,10 @@
 package workload
 
 import (
+	"math/rand"
 	"reflect"
+	"slices"
+	"sync"
 	"testing"
 
 	"hypercube/internal/bits"
@@ -292,4 +295,63 @@ func TestParallelMatchesSerial(t *testing.T) {
 	if Concurrent(cSerial).Render() != Concurrent(cParallel).Render() {
 		t.Error("parallel concurrent sweep differs from serial")
 	}
+}
+
+// DrawDests must reproduce NewGenerator(cube, seed).Dests(src, m) value
+// for value: every dimension 1..12 and every m, each draw re-seeding the
+// pooled source the previous draw used with an unrelated seed.
+func TestDrawDestsMatchesGenerator(t *testing.T) {
+	for dim := 1; dim <= 12; dim++ {
+		cube := topology.New(dim, topology.HighToLow)
+		n := cube.Nodes()
+		for m := 0; m <= n-1; m++ {
+			seed := 1993*int64(dim) + int64(m)
+			if m%2 == 1 {
+				seed = -seed
+			}
+			src := topology.NodeID((int(seed)%n + n) % n)
+			want := NewGenerator(cube, seed).Dests(src, m)
+			if got := DrawDests(cube, seed, src, m); !slices.Equal(got, want) {
+				t.Fatalf("dim=%d m=%d seed=%d: DrawDests %v, generator %v", dim, m, seed, got, want)
+			}
+		}
+	}
+}
+
+// A borrowed source yields the stream of a fresh one, whatever the pooled
+// source drew before it was returned.
+func TestBorrowRandMatchesFresh(t *testing.T) {
+	for _, seed := range []int64{0, 1, 42, -7, 1 << 40} {
+		r := BorrowRand(seed)
+		fresh := rand.New(rand.NewSource(seed))
+		for i := 0; i < 1000; i++ {
+			if a, b := r.Int63(), fresh.Int63(); a != b {
+				t.Fatalf("seed %d draw %d: borrowed %d, fresh %d", seed, i, a, b)
+			}
+		}
+		r.ExpFloat64()
+		ReturnRand(r)
+	}
+}
+
+// Concurrent draws share the source pool: each must still see exactly
+// the stream of its own seed.
+func TestDrawDestsConcurrent(t *testing.T) {
+	cube := topology.New(8, topology.HighToLow)
+	var wg sync.WaitGroup
+	for g := 0; g < 8; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for i := 0; i < 100; i++ {
+				seed := int64(g*1000 + i)
+				want := NewGenerator(cube, seed).Dests(3, 40)
+				if got := DrawDests(cube, seed, 3, 40); !slices.Equal(got, want) {
+					t.Errorf("goroutine %d seed %d: DrawDests %v, generator %v", g, seed, got, want)
+					return
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
 }
