@@ -245,7 +245,7 @@ func TestFaultFreeResultsCarryNoDelivery(t *testing.T) {
 // byte-identically across runs of the same config, and a healthy column
 // is exactly 1 / 1 / 0 across the board.
 func TestChaosSweepDeterministic(t *testing.T) {
-	cfg := ChaosConfig{
+	cfg := Grid{
 		Dim:         4,
 		RatesPerMS:  []float64{0.25, 0.5},
 		FaultCounts: []int{0, 2},
@@ -253,34 +253,46 @@ func TestChaosSweepDeterministic(t *testing.T) {
 		Bytes:       1024,
 		Seed:        17,
 	}
-	t1, err := ChaosSweep(cfg)
+	t1, err := cfg.Tables(&Degradation)
 	if err != nil {
 		t.Fatal(err)
 	}
-	t2, err := ChaosSweep(cfg)
+	t2, err := cfg.Tables(&Degradation)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, pair := range []struct {
-		name string
-		a, b string
-	}{
-		{"delivered", t1.Delivered.Render(), t2.Delivered.Render()},
-		{"inflation", t1.Inflation.Render(), t2.Inflation.Render()},
-		{"retry", t1.Retry.Render(), t2.Retry.Render()},
-	} {
-		if pair.a != pair.b {
-			t.Errorf("%s surface diverged across identical sweeps:\n%s\n----\n%s", pair.name, pair.a, pair.b)
+	for i, name := range []string{"delivered", "inflation", "retry"} {
+		if a, b := t1[i].Render(), t2[i].Render(); a != b {
+			t.Errorf("%s surface diverged across identical sweeps:\n%s\n----\n%s", name, a, b)
 		}
 	}
-	for i, row := range t1.Delivered.Rows {
-		if row.Cells[0] != 1 {
-			t.Errorf("row %d: healthy delivered fraction %g, want 1", i, row.Cells[0])
+	for i, name := range []string{"delivered", "inflation", "retry"} {
+		want := 1.0
+		if name == "retry" {
+			want = 0
+		}
+		for ri, row := range t1[i].Rows {
+			if row.Cells[0] != want {
+				t.Errorf("%s row %d: healthy column %g, want %g", name, ri, row.Cells[0], want)
+			}
 		}
 	}
-	for i, row := range t1.Retry.Rows {
-		if row.Cells[0] != 0 {
-			t.Errorf("row %d: healthy column retried %g times", i, row.Cells[0])
+
+	// Without a k=0 column the healthy baseline still runs, unlisted:
+	// every surface of the k=2 column is unchanged.
+	cfg.FaultCounts = []int{2}
+	t3, err := cfg.Tables(&Degradation)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, name := range []string{"delivered", "inflation", "retry"} {
+		if len(t3[i].Columns) != 1 {
+			t.Fatalf("%s: columns %v, want [k=2]", name, t3[i].Columns)
+		}
+		for ri, row := range t3[i].Rows {
+			if got, want := row.Cells[0], t1[i].Rows[ri].Cells[1]; got != want {
+				t.Errorf("%s row %d: k=2 without a listed baseline %g, with one %g", name, ri, got, want)
+			}
 		}
 	}
 }

@@ -3,35 +3,43 @@ package traffic
 import (
 	"reflect"
 	"testing"
+
+	"hypercube/internal/stats"
 )
 
-func sweepCfg(workers int) SweepConfig {
-	return SweepConfig{
-		Dim:        4,
-		Algorithms: []string{"u-cube", "maxport"},
-		RatesPerMS: []float64{2, 8, 32},
-		Ops:        24,
-		Bytes:      512,
-		Seed:       7,
-		Workers:    workers,
-	}
-}
-
-// TestSweepWorkersInvariant pins that fanning the (rate, algorithm) cells
-// across the parallel executor leaves the saturation tables byte-identical
-// at every worker count.
+// TestSweepWorkersInvariant pins that fanning the grid cells across the
+// parallel executor leaves every table family byte-identical at every
+// worker count.
 func TestSweepWorkersInvariant(t *testing.T) {
-	want, err := Sweep(sweepCfg(1))
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, workers := range []int{2, 4, 8} {
-		got, err := Sweep(sweepCfg(workers))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !reflect.DeepEqual(got, want) {
-			t.Fatalf("workers=%d: sweep tables diverge from serial", workers)
+	for _, c := range []struct {
+		f *Family
+		g Grid
+	}{
+		{&Saturation, Grid{
+			Dim: 4, Algorithms: []string{"u-cube", "maxport"}, RatesPerMS: []float64{2, 8, 32},
+			Ops: 24, Bytes: 512, Seed: 7,
+		}},
+		{&Degradation, Grid{
+			Dim: 4, FaultCounts: []int{1, 0, 3}, RatesPerMS: []float64{0.25, 2},
+			Ops: 8, Bytes: 512, Seed: 7,
+		}},
+		{&Spectrum, Grid{
+			Dim: 4, Ports: []string{"one-port", "all-port"}, Lanes: []int{1, 2}, Policy: "escape",
+			RatesPerMS: []float64{2, 8}, Ops: 16, Bytes: 512, Seed: 7,
+		}},
+	} {
+		var want []*stats.Table
+		for _, workers := range []int{1, 2, 4, 8} {
+			c.g.Workers = workers
+			got, err := c.g.Tables(c.f)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if want == nil {
+				want = got
+			} else if !reflect.DeepEqual(got, want) {
+				t.Fatalf("%s workers=%d: tables diverge from serial", c.f.Name, workers)
+			}
 		}
 	}
 }

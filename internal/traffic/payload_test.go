@@ -215,14 +215,14 @@ func TestPercentileSojournSharedSemantics(t *testing.T) {
 // SojournStatsNS's one-sort path must render the same sweep tables as
 // per-call methods.
 func TestSweepTablesMatchPerCallStats(t *testing.T) {
-	cfg := SweepConfig{
+	cfg := Grid{
 		Dim:        3,
 		Algorithms: []string{"w-sort"},
 		RatesPerMS: []float64{0.5, 2},
 		Ops:        8,
 		Seed:       5,
 	}
-	tbs, err := Sweep(cfg)
+	tbs, err := cfg.Tables(&Saturation)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -238,10 +238,10 @@ func TestSweepTablesMatchPerCallStats(t *testing.T) {
 		}
 		wantMean := res.AverageSojournNS() / 1000
 		wantP95 := float64(res.PercentileSojournNS(0.95)) / 1000
-		if got := tbs.Mean.Rows[ri].Cells[0]; got != wantMean {
+		if got := tbs[0].Rows[ri].Cells[0]; got != wantMean {
 			t.Errorf("rate %g: table mean %v != per-call %v", rate, got, wantMean)
 		}
-		if got := tbs.P95.Rows[ri].Cells[0]; got != wantP95 {
+		if got := tbs[1].Rows[ri].Cells[0]; got != wantP95 {
 			t.Errorf("rate %g: table p95 %v != per-call %v", rate, got, wantP95)
 		}
 	}

@@ -74,8 +74,9 @@ go run ./cmd/simlarge -n 16 -trials 2 -points 3 -workers 8 -csv > "$pardir/w8.cs
 cmp "$pardir/w1.csv" "$pardir/w8.csv"
 
 echo '== traffic engine (smoke + determinism)'
-# One explicit scenario from stdin, then the same reduced sweep twice:
-# fixed spec + seed must render byte-identical files across runs.
+# One explicit scenario from stdin, then each table family of the grid
+# (saturation, degradation under dead links, port×lane spectrum) twice:
+# fixed flags + seed must render byte-identical files across runs.
 trafdir=$(mktemp -d)
 printf '%s' '{"dim":4,"ops":[{"kind":"scatter","src":0},{"kind":"multicast","src":2,"dest_count":6,"seed":9,"after":["op000"]}]}' |
 	go run ./cmd/traffic -spec - > /dev/null
@@ -84,37 +85,24 @@ printf '%s' '{"dim":4,"ops":[{"kind":"scatter","src":0},{"kind":"multicast","src
 printf '%s' '{"dim":4,"seed":3,"ops":[{"kind":"allreduce","bytes":256},{"kind":"allreduce","algorithm":"ring","bytes":256,"after":["op000"]}]}' |
 	go run ./cmd/traffic -spec - > "$trafdir/allreduce.json"
 [ "$(grep -c '"data_verified": true' "$trafdir/allreduce.json")" = 2 ]
-go run ./cmd/traffic -n 5 -ops 12 -rates 0.5,4 -dir "$trafdir/run1" > /dev/null
-go run ./cmd/traffic -n 5 -ops 12 -rates 0.5,4 -dir "$trafdir/run2" > /dev/null
-for f in traffic_mean traffic_p95 traffic_util; do
+go build -o "$trafdir/traffic" ./cmd/traffic
+for run in run1 run2; do
+	"$trafdir/traffic" -n 5 -ops 12 -rates 0.5,4 -dir "$trafdir/$run" > /dev/null
+	"$trafdir/traffic" -n 4 -ops 8 -rates 0.25,0.5 -faults 0,2 -dir "$trafdir/$run" > /dev/null
+	"$trafdir/traffic" -n 4 -ops 8 -lanes 1,2 -rates 0.5,4 -dir "$trafdir/$run" > /dev/null
+done
+# The grid fans its cells across GOMAXPROCS workers; the degradation
+# tables must not depend on that count.
+GOMAXPROCS=1 "$trafdir/traffic" -n 4 -ops 8 -rates 0.25,0.5 -faults 0,2 -dir "$trafdir/serial" > /dev/null
+for f in traffic_mean traffic_p95 traffic_util chaos_delivered chaos_inflation chaos_retry lanes_blocked lanes_sojourn lanes_util; do
 	cmp "$trafdir/run1/$f.txt" "$trafdir/run2/$f.txt"
 	cmp "$trafdir/run1/$f.csv" "$trafdir/run2/$f.csv"
 done
-
-echo '== chaos harness (smoke + determinism)'
-# The degradation sweep twice at one seed: the fault draw, the arrival
-# trace, and the retry protocol are all deterministic, so the surfaces
-# must render byte-identically.
-chaosdir=$(mktemp -d)
-go run ./cmd/chaos -n 4 -ops 8 -rates 0.25,0.5 -faults 0,2 -dir "$chaosdir/run1" > /dev/null
-go run ./cmd/chaos -n 4 -ops 8 -rates 0.25,0.5 -faults 0,2 -dir "$chaosdir/run2" > /dev/null
 for f in chaos_delivered chaos_inflation chaos_retry; do
-	cmp "$chaosdir/run1/$f.txt" "$chaosdir/run2/$f.txt"
-	cmp "$chaosdir/run1/$f.csv" "$chaosdir/run2/$f.csv"
+	cmp "$trafdir/run1/$f.txt" "$trafdir/serial/$f.txt"
+	cmp "$trafdir/run1/$f.csv" "$trafdir/serial/$f.csv"
 done
-
-echo '== lane spectrum (smoke + determinism)'
-# The port×lane sweeper twice at one seed: the shared Poisson trace and
-# the lane-allocation policies are deterministic, so the spectrum
-# surfaces must render byte-identically.
-lanedir=$(mktemp -d)
-go run ./cmd/lanespec -n 4 -ops 8 -lanes 1,2 -rates 0.5,4 -dir "$lanedir/run1" > /dev/null
-go run ./cmd/lanespec -n 4 -ops 8 -lanes 1,2 -rates 0.5,4 -dir "$lanedir/run2" > /dev/null
-for f in lanes_blocked lanes_sojourn lanes_util; do
-	cmp "$lanedir/run1/$f.txt" "$lanedir/run2/$f.txt"
-	cmp "$lanedir/run1/$f.csv" "$lanedir/run2/$f.csv"
-done
-go run ./cmd/lanespec -n 4 -ops 6 -lanes 1,2 -rates 1 -policy escape -csv > /dev/null
+"$trafdir/traffic" -n 4 -ops 6 -lanes 1,2 -rates 1 -policy escape -csv > /dev/null
 
 echo '== bench harness + metrics JSON (smoke)'
 obsdir=$(mktemp -d)
