@@ -67,3 +67,17 @@ func ExampleBroadcast() {
 	// Output:
 	// 5
 }
+
+// Reduction over a subset: run the W-sort multicast tree backwards, so the
+// eight members' partial results converge on node 0. The root assembles
+// the result last, so the makespan is its finish time.
+func ExampleReduceTree() {
+	cube := hypercube.New(4, hypercube.HighToLow)
+	dests := []hypercube.NodeID{1, 3, 5, 7, 11, 12, 14, 15}
+	tree := hypercube.Multicast(cube, hypercube.WSort, 0, dests)
+	r := hypercube.ReduceTree(hypercube.NCube2Params(hypercube.AllPort), tree, 1024, 0)
+	fmt.Printf("messages: %d, makespan: %s, root finish: %s\n",
+		r.Messages, r.Makespan.Micros(), r.Finish[0].Micros())
+	// Output:
+	// messages: 8, makespan: 1720.40us, root finish: 1720.40us
+}

@@ -5,23 +5,25 @@ import (
 	"testing"
 
 	"hypercube/internal/core"
-	"hypercube/internal/event"
+	"hypercube/internal/ncube"
 	"hypercube/internal/topology"
-	"hypercube/internal/wormhole"
 )
 
 // raceEnabled is set by race_test.go under -race, where sync.Pool drops
 // items at random and allocation counts stop being deterministic.
 var raceEnabled bool
 
-// TestDataCollectiveAllocs pins what one 5-cube data collective costs on a
-// shared substrate, launch through completion, with 1024-byte blocks: a
-// 1 MiB input the launch consumes in place. Payloads are views of the
-// senders' vectors, so no launch allocates per-step copies of the data;
-// the all-to-all alone allocates its per-node send buffers (half the
-// input, 512 KiB). The rest is the schedule's bookkeeping and about seven
-// event and wormhole allocations per message — so the ring, with 2(N-1)
-// steps per node against halving+doubling's 2n, costs the most.
+// TestDataCollectiveAllocs pins what one 5-cube collective costs on a
+// shared session, launch through completion, with 1024-byte blocks: for
+// the data collectives a 1 MiB input the launch consumes in place.
+// Payloads are views of the senders' vectors, so no launch allocates
+// per-step copies of the data; the all-to-all alone allocates its
+// per-node send buffers (half the input, 512 KiB). The rest is the
+// schedule's bookkeeping and about seven event and wormhole allocations
+// per message — so the ring, with 2(N-1) steps per node against
+// halving+doubling's 2n, costs the most. The timing-only barrier and
+// all-gather rows pin that a payload-free exchange keeps no payload
+// buffers.
 func TestDataCollectiveAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are not deterministic under -race")
@@ -31,26 +33,32 @@ func TestDataCollectiveAllocs(t *testing.T) {
 	p := params(core.AllPort)
 	pristine := RandomData(1993, c.Nodes(), c.Nodes()*blockElems)
 	in := cloneRows(pristine)
-	q := &event.Queue{}
-	sub := Substrate{Queue: q, Net: wormhole.New(q, c, p.NetConfig()), Params: p}
+	s := ncube.NewSession(p, c, ncube.Instrumentation{})
+	defer s.Release()
 	for _, tc := range []struct {
 		name      string
-		launch    func() *DataResult
+		launch    func()
 		maxAllocs float64
 		maxKiB    float64
 	}{
-		{"allreduce-hd", func() *DataResult { return AllReduceHDOn(sub, in, 0) }, 2350, 215},
-		{"reduce-scatter", func() *DataResult { return ReduceScatterOn(sub, in, 0) }, 1200, 110},
-		{"allreduce-ring", func() *DataResult { return AllReduceRingOn(sub, in, 0) }, 14500, 1100},
-		{"alltoall", func() *DataResult { return AllToAllOn(sub, in) }, 1200, 512 + 135},
-		{"reduce-data", func() *DataResult { return ReduceDataOn(sub, topology.NodeID(5), in, 0) }, 250, 22},
+		{"allreduce-hd", func() { AllReduceHDOn(s, in, 0, nil) }, 2350, 215},
+		{"reduce-scatter", func() { ReduceScatterOn(s, in, 0, nil) }, 1200, 110},
+		{"allreduce-ring", func() { AllReduceRingOn(s, in, 0, nil) }, 14500, 1100},
+		{"alltoall", func() { AllToAllOn(s, in, nil) }, 1200, 512 + 135},
+		{"reduce-data", func() { ReduceDataOn(s, topology.NodeID(5), in, 0, nil) }, 250, 22},
+		{"barrier", func() {
+			dimensionExchange(s, func(topology.NodeID, int) (int, []float64) { return 8, nil }, 0, nil)
+		}, 1168, 90.3},
+		{"allgather", func() { AllGatherOn(s, blockElems*ElemBytes, nil) }, 1169, 90.3},
 	} {
 		run := func() {
 			for v := range in {
 				copy(in[v], pristine[v])
 			}
 			tc.launch()
-			q.MustRun(0, 0)
+			if err := s.Run(0, 0); err != nil {
+				t.Fatal(err)
+			}
 		}
 		allocs := testing.AllocsPerRun(20, run)
 		kib := bytesPerRun(20, run) / 1024
@@ -59,7 +67,7 @@ func TestDataCollectiveAllocs(t *testing.T) {
 			t.Errorf("%s: %.0f allocs per launch, want <= %.0f", tc.name, allocs, tc.maxAllocs)
 		}
 		if kib > tc.maxKiB {
-			t.Errorf("%s: %.1f KiB per launch, want <= %.0f", tc.name, kib, tc.maxKiB)
+			t.Errorf("%s: %.1f KiB per launch, want <= %.1f", tc.name, kib, tc.maxKiB)
 		}
 	}
 }

@@ -2,16 +2,20 @@
 // repertoire the paper's introduction motivates (MPI-style operations on
 // wormhole-routed hypercubes) on top of the same machine model used for
 // multicast: scatter and gather (personalized distribution), reduction,
-// barrier synchronization, and all-gather. Every operation uses the
-// classic dimension-ordered binomial/dissemination schedules, in which
-// each message crosses exactly one channel, so the executions are
-// physically contention-free by construction — a property the tests
-// verify on the simulator.
+// barrier synchronization, all-gather, allreduce, reduce-scatter and
+// all-to-all. Every operation is one of three schedule shapes: the
+// binomial scatter, a convergecast up a tree (gather, the reductions), or
+// a pairwise exchange in rounds (everything else). The dimension-ordered
+// schedules send each message across exactly one channel, so their
+// executions are physically contention-free by construction — a property
+// the tests verify on the simulator.
+//
+// Every schedule runs on an ncube.Session. A ...On function launches one
+// on the caller's session, among whatever else that session runs; a
+// standalone entry point is its launch on a session of its own.
 package collective
 
 import (
-	"fmt"
-
 	"hypercube/internal/core"
 	"hypercube/internal/event"
 	"hypercube/internal/ncube"
@@ -34,22 +38,8 @@ type Result struct {
 	TotalBlocked event.Time
 }
 
-// Substrate lets a collective schedule run on a calendar and network owned
-// by someone else — a shared scenario (ncube.Session) with other concurrent
-// operations — instead of the private pair the standalone entry points
-// build. The schedule launches at the calendar's current time; the caller
-// drives the queue. OnDone, if non-nil, fires on the calendar at the
-// instant the last node finishes, with Finish times in ABSOLUTE simulated
-// time (the standalone entry points, which launch at t=0, are the
-// degenerate case where absolute and relative coincide).
-type Substrate struct {
-	Queue  *event.Queue
-	Net    *wormhole.Network
-	Params ncube.Params
-	OnDone func(Result)
-}
-
-// engine bundles the shared simulation state of the collective schedules.
+// engine is the state of one collective launch on a session's calendar and
+// network.
 type engine struct {
 	q         *event.Queue
 	net       *wormhole.Network
@@ -59,30 +49,32 @@ type engine struct {
 	onDone    func(Result)
 }
 
-func newEngine(p ncube.Params, cube topology.Cube) *engine {
-	if err := p.Err(); err != nil {
-		panic(err)
-	}
-	q := &event.Queue{}
-	return newEngineWith(q, wormhole.New(q, cube, p.NetConfig()), p, cube, nil)
-}
-
-func newEngineOn(sub Substrate) *engine {
-	if err := sub.Params.Err(); err != nil {
-		panic(err)
-	}
-	return newEngineWith(sub.Queue, sub.Net, sub.Params, sub.Net.Cube(), sub.OnDone)
-}
-
-func newEngineWith(q *event.Queue, net *wormhole.Network, p ncube.Params, cube topology.Cube, onDone func(Result)) *engine {
+// newEngine starts a launch on s in which nodes nodes take part. The
+// schedule launches at the calendar's current time and the caller drives
+// the calendar. done, if non-nil, fires on the calendar at the instant the
+// last node finishes, with Finish times in absolute simulated time.
+func newEngine(s *ncube.Session, nodes int, done func(Result)) *engine {
 	return &engine{
-		q:         q,
-		net:       net,
-		p:         p,
-		res:       &Result{Finish: make(map[topology.NodeID]event.Time)},
-		remaining: cube.Nodes(),
-		onDone:    onDone,
+		q:         s.Queue(),
+		net:       s.Network(),
+		p:         s.Params(),
+		res:       &Result{Finish: make(map[topology.NodeID]event.Time, nodes)},
+		remaining: nodes,
+		onDone:    done,
 	}
+}
+
+// run is the one standalone execution path: launch at t=0 on a borrowed
+// session, drive it to completion under the event watchdog (honouring
+// p.Workers), and return the session to the pool.
+func run[R any](p ncube.Params, cube topology.Cube, launch func(s *ncube.Session) *R) R {
+	s := ncube.NewSession(p, cube, ncube.Instrumentation{})
+	r := launch(s)
+	if err := s.Run(0, 0); err != nil {
+		panic(err)
+	}
+	s.Release()
+	return *r
 }
 
 // finished records node v completing its role at time t, maintains the
@@ -98,11 +90,6 @@ func (e *engine) finished(v topology.NodeID, t event.Time) {
 	if e.remaining == 0 && e.onDone != nil {
 		e.onDone(*e.res)
 	}
-}
-
-func (e *engine) finish() Result {
-	e.q.MustRun(0, 0)
-	return *e.res
 }
 
 // sendSpec is one message of a schedule.
@@ -163,18 +150,6 @@ func absOf(c topology.Cube, root, r topology.NodeID) topology.NodeID {
 	return c.Canon(r ^ c.Canon(root))
 }
 
-// highBit returns the position of the highest set bit, or -1 for zero.
-func highBit(v topology.NodeID) int {
-	h := -1
-	for d := 0; v != 0; d++ {
-		if v&1 != 0 {
-			h = d
-		}
-		v >>= 1
-	}
-	return h
-}
-
 // lowBit returns the position of the lowest set bit, or n for zero.
 func lowBit(v topology.NodeID, n int) int {
 	for d := 0; d < n; d++ {
@@ -191,30 +166,20 @@ func lowBit(v topology.NodeID, n int) int {
 // blocks of the opposite half to its dimension-d neighbor. Every message
 // crosses one channel.
 func Scatter(p ncube.Params, cube topology.Cube, root topology.NodeID, blockBytes int) Result {
+	return run(p, cube, func(s *ncube.Session) *Result { return ScatterOn(s, root, blockBytes, nil) })
+}
+
+// ScatterOn launches Scatter's schedule on s at the calendar's current
+// time; the caller drives the calendar, and done (if non-nil) fires when
+// the last node finishes. The returned Result fills in as the scenario
+// runs.
+func ScatterOn(s *ncube.Session, root topology.NodeID, blockBytes int, done func(Result)) *Result {
+	cube := s.Network().Cube()
 	cube.MustContain(root)
 	if blockBytes < 0 {
 		panic("collective: negative block size")
 	}
-	e := newEngine(p, cube)
-	scatterOn(e, cube, root, blockBytes)
-	return e.finish()
-}
-
-// ScatterOn launches Scatter's schedule on a shared substrate at the
-// calendar's current time; the caller drives the queue. The returned
-// Result is filled in as the scenario runs.
-func ScatterOn(sub Substrate, root topology.NodeID, blockBytes int) *Result {
-	cube := sub.Net.Cube()
-	cube.MustContain(root)
-	if blockBytes < 0 {
-		panic("collective: negative block size")
-	}
-	e := newEngineOn(sub)
-	scatterOn(e, cube, root, blockBytes)
-	return e.res
-}
-
-func scatterOn(e *engine, cube topology.Cube, root topology.NodeID, blockBytes int) {
+	e := newEngine(s, cube.Nodes(), done)
 	var deliver func(s sendSpec, d wormhole.Delivery)
 	forward := func(node topology.NodeID, h int) {
 		r := relOf(cube, root, node)
@@ -234,6 +199,74 @@ func scatterOn(e *engine, cube topology.Cube, root topology.NodeID, blockBytes i
 	}
 	e.finished(root, e.q.Now())
 	forward(root, cube.Dim())
+	return e.res
+}
+
+// upTree is the shape of a convergecast: its root, each participant's
+// parent and child count (indexed by node), and the participants in
+// launch order.
+type upTree struct {
+	root    topology.NodeID
+	order   []topology.NodeID
+	parent  []topology.NodeID
+	pending []int
+}
+
+// binomialTree is the dimension-ascending binomial tree rooted at root:
+// the node at root-relative address r has its lowBit(r) children r|1<<d
+// (d < lowBit(r)) and sends to r with its lowest set bit cleared. The
+// launch order is ascending relative address.
+func binomialTree(cube topology.Cube, root topology.NodeID) upTree {
+	n, nodes := cube.Dim(), cube.Nodes()
+	t := upTree{
+		root:    root,
+		order:   make([]topology.NodeID, nodes),
+		parent:  make([]topology.NodeID, nodes),
+		pending: make([]int, nodes),
+	}
+	for r := topology.NodeID(0); int(r) < nodes; r++ {
+		v, L := absOf(cube, root, r), lowBit(r, n)
+		t.order[r], t.pending[v] = v, L
+		t.parent[v] = absOf(cube, root, r&^(1<<uint(L)))
+	}
+	return t
+}
+
+// convergecast runs a reduction up t: each participant sends once, to its
+// parent, as soon as it has absorbed all its children — each receipt
+// costing TRecv + tCompute — and finishes when its message arrives; the
+// root finishes when it has absorbed its last child. outbound(v) is v's
+// message, a byte count and an optional payload; absorb, nil for a
+// timing-only schedule, folds a payload into its receiver.
+func (e *engine) convergecast(t upTree, outbound func(v topology.NodeID) (int, []float64),
+	absorb func(v topology.NodeID, data []float64), tCompute event.Time) {
+	pending := t.pending // per-message closures capture this, not all of t
+	var ready func(v topology.NodeID)
+	ready = func(v topology.NodeID) {
+		if v == t.root {
+			e.finished(v, e.q.Now())
+			return
+		}
+		bytes, data := outbound(v)
+		e.sendSeq(v, []sendSpec{{to: t.parent[v], bytes: bytes, data: data}}, func(s sendSpec, d wormhole.Delivery) {
+			e.finished(v, d.Arrived) // contribution delivered
+			to := d.To
+			e.q.After(e.p.TRecv+tCompute, func() {
+				if absorb != nil {
+					absorb(to, data)
+				}
+				pending[to]--
+				if pending[to] == 0 {
+					ready(to)
+				}
+			})
+		})
+	}
+	for _, v := range t.order {
+		if pending[v] == 0 {
+			ready(v)
+		}
+	}
 }
 
 // Gather is the inverse of Scatter: every node's block converges on root
@@ -241,23 +274,23 @@ func scatterOn(e *engine, cube topology.Cube, root topology.NodeID, blockBytes i
 // L first absorbs its L children's accumulated blocks, then forwards
 // 2^L blocks toward the root.
 func Gather(p ncube.Params, cube topology.Cube, root topology.NodeID, blockBytes int) Result {
-	cube.MustContain(root)
-	if blockBytes < 0 {
-		panic("collective: negative block size")
-	}
-	return gatherLike(p, cube, root, func(sub int) int { return blockBytes * sub }, 0)
+	return run(p, cube, func(s *ncube.Session) *Result { return GatherOn(s, root, blockBytes, nil) })
 }
 
-// GatherOn launches Gather's schedule on a shared substrate at the
-// calendar's current time; the caller drives the queue.
-func GatherOn(sub Substrate, root topology.NodeID, blockBytes int) *Result {
-	cube := sub.Net.Cube()
+// GatherOn launches Gather's schedule on s at the calendar's current time;
+// the caller drives the calendar, and done (if non-nil) fires when the
+// root has assembled every block.
+func GatherOn(s *ncube.Session, root topology.NodeID, blockBytes int, done func(Result)) *Result {
+	cube := s.Network().Cube()
 	cube.MustContain(root)
 	if blockBytes < 0 {
 		panic("collective: negative block size")
 	}
-	e := newEngineOn(sub)
-	gatherLikeOn(e, cube, root, func(sub int) int { return blockBytes * sub }, 0)
+	n := cube.Dim()
+	e := newEngine(s, cube.Nodes(), done)
+	e.convergecast(binomialTree(cube, root), func(v topology.NodeID) (int, []float64) {
+		return blockBytes * (1 << uint(lowBit(relOf(cube, root, v), n))), nil
+	}, nil, 0)
 	return e.res
 }
 
@@ -269,106 +302,84 @@ func Reduce(p ncube.Params, cube topology.Cube, root topology.NodeID, bytes int,
 	if bytes < 0 || tCompute < 0 {
 		panic("collective: negative reduce parameter")
 	}
-	return gatherLike(p, cube, root, func(int) int { return bytes }, tCompute)
+	return run(p, cube, func(s *ncube.Session) *Result {
+		e := newEngine(s, cube.Nodes(), nil)
+		e.convergecast(binomialTree(cube, root), fixedBytes(bytes), nil, tCompute)
+		return e.res
+	})
 }
 
-// gatherLike runs the ascending binomial convergecast. sizeOf maps the
-// sender's accumulated subtree size (number of nodes) to message bytes.
-func gatherLike(p ncube.Params, cube topology.Cube, root topology.NodeID, sizeOf func(sub int) int, tCompute event.Time) Result {
-	e := newEngine(p, cube)
-	gatherLikeOn(e, cube, root, sizeOf, tCompute)
-	return e.finish()
+// fixedBytes is the outbound of a timing-only convergecast whose messages
+// all carry bytes bytes.
+func fixedBytes(bytes int) func(topology.NodeID) (int, []float64) {
+	return func(topology.NodeID) (int, []float64) { return bytes, nil }
 }
 
-func gatherLikeOn(e *engine, cube topology.Cube, root topology.NodeID, sizeOf func(sub int) int, tCompute event.Time) {
-	n := cube.Dim()
-	// pending[r] counts children a node still waits for before sending.
-	pending := make([]int, cube.Nodes())
-	var ready func(r topology.NodeID)
-	ready = func(r topology.NodeID) {
-		node := absOf(cube, root, r)
-		if r == 0 {
-			e.finished(node, e.q.Now())
-			return
-		}
-		L := lowBit(r, n)
-		parent := r &^ (1 << uint(L))
-		spec := sendSpec{to: absOf(cube, root, parent), bytes: sizeOf(1 << uint(L)), tag: int(r)}
-		e.sendSeq(node, []sendSpec{spec}, func(s sendSpec, d wormhole.Delivery) {
-			e.finished(node, d.Arrived) // contribution delivered
-			pr := relOf(cube, root, d.To)
-			e.q.After(e.p.TRecv+tCompute, func() {
-				pending[pr]--
-				if pending[pr] == 0 {
-					ready(pr)
-				}
-			})
-		})
+// exchange runs a pairwise-exchange schedule of rounds ≥ 1 rounds: in round k
+// node v sends outbound(v, k) — a byte count and an optional payload — to
+// peer(v, k), and enters round k+1 only after both issuing its round-k
+// send and receiving (and processing, TRecv + tCompute) its round-k
+// message. Receipts arriving out of round order are buffered and absorbed
+// in round order. absorb is nil for a timing-only schedule, which then
+// keeps no payload buffers. Absorbing is pure data movement, so a
+// data-carrying exchange schedules exactly the events of a timing-only one
+// with the same per-round byte counts.
+func (e *engine) exchange(rounds int, peer func(v topology.NodeID, k int) topology.NodeID,
+	outbound func(v topology.NodeID, k int) (int, []float64),
+	absorb func(v topology.NodeID, k int, data []float64), tCompute event.Time) {
+	nodes := e.net.Cube().Nodes()
+	got := matrix[bool](nodes, rounds)
+	var buf [][][]float64 // buf[v][k]: v's round-k payload
+	if absorb != nil {
+		buf = matrix[[]float64](nodes, rounds)
 	}
-	for v := 0; v < cube.Nodes(); v++ {
-		r := topology.NodeID(v)
-		// Children of r are r | 1<<d for d < lowBit(r).
-		pending[r] = lowBit(r, n)
-	}
-	for v := 0; v < cube.Nodes(); v++ {
-		r := topology.NodeID(v)
-		if pending[r] == 0 {
-			ready(r)
-		}
-	}
-}
-
-// exchangeRounds runs an n-round pairwise-exchange schedule (the shared
-// skeleton of Barrier, AllGather, and AllReduce): in round k every node
-// sends bytesOf(k) bytes to its dimension-k neighbor and enters round k+1
-// only after both issuing its round-k send and receiving (and processing,
-// tCompute) its partner's round-k message. Receipts arriving out of round
-// order are buffered.
-func exchangeRounds(p ncube.Params, cube topology.Cube, bytesOf func(round int) int) Result {
-	return exchangeRoundsCompute(p, cube, bytesOf, 0)
-}
-
-func exchangeRoundsCompute(p ncube.Params, cube topology.Cube, bytesOf func(round int) int, tCompute event.Time) Result {
-	e := newEngine(p, cube)
-	exchangeRoundsOn(e, cube, bytesOf, tCompute)
-	return e.finish()
-}
-
-func exchangeRoundsOn(e *engine, cube topology.Cube, bytesOf func(round int) int, tCompute event.Time) {
-	n := cube.Dim()
-	got := make([][]bool, cube.Nodes())
-	for v := range got {
-		got[v] = make([]bool, n)
-	}
-	round := make([]int, cube.Nodes()) // next round not yet started
+	round := make([]int, nodes) // next round not yet started
 	var start func(v topology.NodeID)
 	advance := func(v topology.NodeID) {
 		// Enter the next round once the current one is fully done;
 		// consume any receipts that arrived ahead of order.
-		for round[v] < n && got[v][round[v]] {
+		for round[v] < rounds && got[v][round[v]] {
+			if k := round[v]; absorb != nil {
+				absorb(v, k, buf[v][k])
+				buf[v][k] = nil
+			}
 			round[v]++
-			if round[v] == n {
+			if round[v] == rounds {
 				e.finished(v, e.q.Now())
 				return
 			}
 			start(v)
 		}
 	}
-	start = func(v topology.NodeID) {
-		k := round[v]
-		partner := cube.Neighbor(v, k)
-		e.sendSeq(v, []sendSpec{{to: partner, bytes: bytesOf(k), tag: k}}, func(s sendSpec, d wormhole.Delivery) {
-			e.q.After(e.p.TRecv+tCompute, func() {
-				got[d.To][s.tag] = true
-				if s.tag == round[d.To] {
-					advance(d.To)
-				}
-			})
+	receive := func(s sendSpec, d wormhole.Delivery) {
+		v, k, data := d.To, s.tag, s.data
+		e.q.After(e.p.TRecv+tCompute, func() {
+			got[v][k] = true
+			if absorb != nil {
+				buf[v][k] = data
+			}
+			if k == round[v] {
+				advance(v)
+			}
 		})
 	}
-	for v := 0; v < cube.Nodes(); v++ {
+	start = func(v topology.NodeID) {
+		k := round[v]
+		bytes, data := outbound(v, k)
+		e.sendSeq(v, []sendSpec{{to: peer(v, k), bytes: bytes, tag: k, data: data}}, receive)
+	}
+	for v := 0; v < nodes; v++ {
 		start(topology.NodeID(v))
 	}
+}
+
+// dimensionExchange launches a timing-only exchange on s whose round k
+// crosses dimension k, one round per dimension.
+func dimensionExchange(s *ncube.Session, outbound func(v topology.NodeID, k int) (int, []float64), tCompute event.Time, done func(Result)) *Result {
+	cube := s.Network().Cube()
+	e := newEngine(s, cube.Nodes(), done)
+	e.exchange(cube.Dim(), cube.Neighbor, outbound, nil, tCompute)
+	return e.res
 }
 
 // Barrier runs the dissemination barrier: in round k every node notifies
@@ -377,28 +388,28 @@ func exchangeRoundsOn(e *engine, cube topology.Cube, bytesOf func(round int) int
 // messages.
 func Barrier(p ncube.Params, cube topology.Cube) Result {
 	const noteBytes = 8
-	return exchangeRounds(p, cube, func(int) int { return noteBytes })
+	return run(p, cube, func(s *ncube.Session) *Result {
+		return dimensionExchange(s, func(topology.NodeID, int) (int, []float64) { return noteBytes, nil }, 0, nil)
+	})
 }
 
 // AllGather performs the recursive-doubling all-gather: in round d every
 // node exchanges its accumulated 2^d blocks with its dimension-d neighbor,
 // finishing with all N blocks everywhere.
 func AllGather(p ncube.Params, cube topology.Cube, blockBytes int) Result {
-	if blockBytes < 0 {
-		panic("collective: negative block size")
-	}
-	return exchangeRounds(p, cube, func(d int) int { return blockBytes * (1 << uint(d)) })
+	return run(p, cube, func(s *ncube.Session) *Result { return AllGatherOn(s, blockBytes, nil) })
 }
 
-// AllGatherOn launches AllGather's schedule on a shared substrate at the
-// calendar's current time; the caller drives the queue.
-func AllGatherOn(sub Substrate, blockBytes int) *Result {
+// AllGatherOn launches AllGather's schedule on s at the calendar's current
+// time; the caller drives the calendar, and done (if non-nil) fires when
+// the last node finishes.
+func AllGatherOn(s *ncube.Session, blockBytes int, done func(Result)) *Result {
 	if blockBytes < 0 {
 		panic("collective: negative block size")
 	}
-	e := newEngineOn(sub)
-	exchangeRoundsOn(e, sub.Net.Cube(), func(d int) int { return blockBytes * (1 << uint(d)) }, 0)
-	return e.res
+	return dimensionExchange(s, func(_ topology.NodeID, d int) (int, []float64) {
+		return blockBytes * (1 << uint(d)), nil
+	}, 0, done)
 }
 
 // AllReduce combines a fixed-size vector across all nodes and leaves the
@@ -410,13 +421,7 @@ func AllReduce(p ncube.Params, cube topology.Cube, bytes int, tCompute event.Tim
 	if bytes < 0 || tCompute < 0 {
 		panic("collective: negative allreduce parameter")
 	}
-	return exchangeRoundsCompute(p, cube, func(int) int { return bytes }, tCompute)
-}
-
-// check that engine.finish leaves no one behind.
-func (r Result) complete(nodes int) error {
-	if len(r.Finish) != nodes {
-		return fmt.Errorf("collective: %d of %d nodes finished", len(r.Finish), nodes)
-	}
-	return nil
+	return run(p, cube, func(s *ncube.Session) *Result {
+		return dimensionExchange(s, func(topology.NodeID, int) (int, []float64) { return bytes, nil }, tCompute, nil)
+	})
 }

@@ -1,6 +1,7 @@
 package collective
 
 import (
+	"fmt"
 	"testing"
 
 	"hypercube/internal/core"
@@ -8,6 +9,14 @@ import (
 	"hypercube/internal/ncube"
 	"hypercube/internal/topology"
 )
+
+// complete reports a result in which some node never finished.
+func (r Result) complete(nodes int) error {
+	if len(r.Finish) != nodes {
+		return fmt.Errorf("collective: %d of %d nodes finished", len(r.Finish), nodes)
+	}
+	return nil
+}
 
 func params(pm core.PortModel) ncube.Params { return ncube.NCube2(pm) }
 
@@ -268,25 +277,79 @@ func TestOnePortComplete(t *testing.T) {
 	}
 }
 
+// Every launch rejects malformed input, standalone or on a session. A
+// standalone data collective must validate the caller's rows before it
+// clones them: the clone truncates or zero-pads to the first row, so a
+// ragged input would pass a check made on the clone.
 func TestValidationPanics(t *testing.T) {
 	c := cube(4)
 	p := params(core.AllPort)
-	for _, fn := range []func(){
-		func() { Scatter(p, c, 0, -1) },
-		func() { Gather(p, c, 0, -1) },
-		func() { Reduce(p, c, 0, -1, 0) },
-		func() { Reduce(p, c, 0, 8, -1) },
-		func() { AllGather(p, c, -1) },
-		func() { Scatter(p, c, 99, 8) },
-	} {
-		func() {
-			defer func() {
-				if recover() == nil {
-					t.Error("invalid input did not panic")
-				}
-			}()
-			fn()
+	nodes := c.Nodes()
+	session := func() *ncube.Session { return ncube.NewSession(p, c, ncube.Instrumentation{}) }
+	mustPanic := func(name string, fn func()) {
+		t.Helper()
+		defer func() {
+			if recover() == nil {
+				t.Errorf("%s: invalid input did not panic", name)
+			}
 		}()
+		fn()
+	}
+	for name, fn := range map[string]func(){
+		"Scatter block":     func() { Scatter(p, c, 0, -1) },
+		"Scatter root":      func() { Scatter(p, c, 99, 8) },
+		"ScatterOn block":   func() { ScatterOn(session(), 0, -1, nil) },
+		"ScatterOn root":    func() { ScatterOn(session(), 99, 8, nil) },
+		"Gather block":      func() { Gather(p, c, 0, -1) },
+		"Gather root":       func() { Gather(p, c, 99, 8) },
+		"GatherOn block":    func() { GatherOn(session(), 0, -1, nil) },
+		"GatherOn root":     func() { GatherOn(session(), 99, 8, nil) },
+		"Reduce bytes":      func() { Reduce(p, c, 0, -1, 0) },
+		"Reduce compute":    func() { Reduce(p, c, 0, 8, -1) },
+		"Reduce root":       func() { Reduce(p, c, 99, 8, 0) },
+		"AllGather block":   func() { AllGather(p, c, -1) },
+		"AllGatherOn block": func() { AllGatherOn(session(), -1, nil) },
+	} {
+		mustPanic(name, fn)
+	}
+
+	good := func() [][]float64 { return RandomData(1, nodes, 2*nodes) }
+	inputs := []struct {
+		name string
+		in   func() [][]float64
+	}{
+		{"vector count", func() [][]float64 { return RandomData(1, nodes-1, 2*nodes) }},
+		{"long row", func() [][]float64 { in := good(); in[5] = append(in[5], 1); return in }},
+		{"short row", func() [][]float64 { in := good(); in[5] = in[5][:2*nodes-1]; return in }},
+		{"empty vectors", func() [][]float64 { return RandomData(1, nodes, 0) }},
+	}
+	launches := []struct {
+		name          string
+		compute, root bool // whether tCompute and root apply
+		run           func(in [][]float64, root topology.NodeID, tc event.Time)
+	}{
+		{"ReduceScatter", true, false, func(in [][]float64, _ topology.NodeID, tc event.Time) { ReduceScatter(p, c, in, tc) }},
+		{"ReduceScatterOn", true, false, func(in [][]float64, _ topology.NodeID, tc event.Time) { ReduceScatterOn(session(), in, tc, nil) }},
+		{"AllReduceHD", true, false, func(in [][]float64, _ topology.NodeID, tc event.Time) { AllReduceHD(p, c, in, tc) }},
+		{"AllReduceHDOn", true, false, func(in [][]float64, _ topology.NodeID, tc event.Time) { AllReduceHDOn(session(), in, tc, nil) }},
+		{"AllReduceRing", true, false, func(in [][]float64, _ topology.NodeID, tc event.Time) { AllReduceRing(p, c, in, tc) }},
+		{"AllReduceRingOn", true, false, func(in [][]float64, _ topology.NodeID, tc event.Time) { AllReduceRingOn(session(), in, tc, nil) }},
+		{"AllToAll", false, false, func(in [][]float64, _ topology.NodeID, _ event.Time) { AllToAll(p, c, in) }},
+		{"AllToAllOn", false, false, func(in [][]float64, _ topology.NodeID, _ event.Time) { AllToAllOn(session(), in, nil) }},
+		{"ReduceData", true, true, func(in [][]float64, root topology.NodeID, tc event.Time) { ReduceData(p, c, root, in, tc) }},
+		{"ReduceDataOn", true, true, func(in [][]float64, root topology.NodeID, tc event.Time) { ReduceDataOn(session(), root, in, tc, nil) }},
+	}
+	for _, l := range launches {
+		l.run(good(), 3, 0) // the valid baseline must not panic
+		for _, bad := range inputs {
+			mustPanic(l.name+" "+bad.name, func() { l.run(bad.in(), 3, 0) })
+		}
+		if l.compute {
+			mustPanic(l.name+" compute", func() { l.run(good(), 3, -1) })
+		}
+		if l.root {
+			mustPanic(l.name+" root", func() { l.run(good(), 99, 0) })
+		}
 	}
 }
 

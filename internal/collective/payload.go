@@ -6,16 +6,17 @@
 // per-node vectors expose any block delivered to the wrong node at the
 // wrong round. Every standalone entry point verifies its result against
 // the closed-form expectation element by element before returning;
-// substrate launches leave verification to the caller, who holds the
+// session launches leave verification to the caller, who holds the
 // inputs.
 //
-// Ownership: a substrate launch (the ...On functions) takes ownership of
+// Ownership: a session launch (the ...On functions) takes ownership of
 // its input vectors and runs in place on them — DataResult.Data is those
 // same vectors, rewritten — and every message payload is a view of its
 // sender's buffer, not a copy (see each schedule for why the viewed range
 // is not written again before the receiver has absorbed it). The
-// standalone entry points copy the caller's input once, into one flat
-// backing, and never modify it.
+// standalone entry points validate the caller's input, copy it once into
+// one flat backing, and never modify it. They validate before copying
+// because the copy takes its row length from the first row.
 //
 // Arithmetic note: verification demands exact float64 equality, which
 // holds regardless of combine order whenever the inputs are integer-valued
@@ -30,7 +31,6 @@ import (
 	"hypercube/internal/ncube"
 	"hypercube/internal/topology"
 	"hypercube/internal/workload"
-	"hypercube/internal/wormhole"
 )
 
 // ElemBytes is the wire size charged per payload vector element.
@@ -251,7 +251,7 @@ func checkSourceRow(got [][]float64, s int, row []float64) error {
 
 // attachData reroutes the engine's result into a DataResult and installs a
 // completion hook that captures the final per-node vectors at the instant
-// the last node finishes — before the substrate's OnDone observes the
+// the last node finishes — before the launch's done hook observes the
 // result, so a traffic-engine callback can already read Data.
 func attachData(e *engine, capture func() [][]float64) *DataResult {
 	dr := &DataResult{Result: *e.res}
@@ -266,55 +266,9 @@ func attachData(e *engine, capture func() [][]float64) *DataResult {
 	return dr
 }
 
-// dataExchangeOn runs a payload-carrying pairwise-exchange schedule: in
-// round k every node sends outbound(v, k) to its neighbor across dimension
-// dimOf(k) and enters round k+1 only after both issuing its round-k send
-// and absorbing its partner's round-k payload (TRecv + tCompute after the
-// tail arrives). Out-of-order receipts are buffered and absorbed in round
-// order, exactly mirroring exchangeRoundsOn's advancement — absorbing is
-// pure data movement, so the event schedule matches a timing-only
-// exchange with the same per-round byte counts.
-func dataExchangeOn(e *engine, cube topology.Cube, rounds int, dimOf func(k int) int,
-	outbound func(v topology.NodeID, k int) []float64,
-	absorb func(v topology.NodeID, k int, data []float64),
-	tCompute event.Time) {
-	nodes := cube.Nodes()
-	buf := matrix[[]float64](nodes, rounds) // buf[v][k]: v's round-k payload
-	got := matrix[bool](nodes, rounds)
-	round := make([]int, nodes) // next round not yet started
-	var start func(v topology.NodeID)
-	advance := func(v topology.NodeID) {
-		for round[v] < rounds && got[v][round[v]] {
-			k := round[v]
-			absorb(v, k, buf[v][k])
-			buf[v][k] = nil
-			round[v]++
-			if round[v] == rounds {
-				e.finished(v, e.q.Now())
-				return
-			}
-			start(v)
-		}
-	}
-	start = func(v topology.NodeID) {
-		k := round[v]
-		payload := outbound(v, k)
-		partner := cube.Neighbor(v, dimOf(k))
-		spec := sendSpec{to: partner, bytes: len(payload) * ElemBytes, tag: k, data: payload}
-		e.sendSeq(v, []sendSpec{spec}, func(s sendSpec, d wormhole.Delivery) {
-			e.q.After(e.p.TRecv+tCompute, func() {
-				got[d.To][s.tag] = true
-				buf[d.To][s.tag] = s.data
-				if s.tag == round[d.To] {
-					advance(d.To)
-				}
-			})
-		})
-	}
-	for v := 0; v < nodes; v++ {
-		start(topology.NodeID(v))
-	}
-}
+// elems is a data-carrying message as a skeleton's outbound returns it:
+// the payload's wire size, and the payload.
+func elems(data []float64) (int, []float64) { return len(data) * ElemBytes, data }
 
 // ownedRange returns the contiguous block range [lo, hi) whose indices
 // agree with v on every dimension >= d — the blocks v is responsible for
@@ -340,9 +294,11 @@ func ownedRange(v topology.NodeID, d int) (lo, hi int) {
 // sender's halving and lower-dimension doubling writes all stay inside its
 // own half. A doubling payload is the sender's fully reduced range, which
 // its remaining (higher-dimension) doubling rounds never touch.
-func halvingDoublingOn(e *engine, cube topology.Cube, work [][]float64, tCompute event.Time, scatterOnly bool) *DataResult {
+func halvingDoublingOn(s *ncube.Session, work [][]float64, tCompute event.Time, scatterOnly bool, done func(Result)) *DataResult {
+	cube := s.Network().Cube()
 	b := blockOf(cube, work)
 	n := cube.Dim()
+	e := newEngine(s, cube.Nodes(), done)
 	capture := func() [][]float64 {
 		if !scatterOnly {
 			return work
@@ -364,7 +320,8 @@ func halvingDoublingOn(e *engine, cube topology.Cube, work [][]float64, tCompute
 		}
 		return k - n
 	}
-	outbound := func(v topology.NodeID, k int) []float64 {
+	peer := func(v topology.NodeID, k int) topology.NodeID { return cube.Neighbor(v, dimOf(k)) }
+	outbound := func(v topology.NodeID, k int) (int, []float64) {
 		d := dimOf(k)
 		var lo, hi int
 		if k < n {
@@ -372,7 +329,7 @@ func halvingDoublingOn(e *engine, cube topology.Cube, work [][]float64, tCompute
 		} else {
 			lo, hi = ownedRange(v, d) // v's fully-reduced range
 		}
-		return work[v][lo*b : hi*b]
+		return elems(work[v][lo*b : hi*b])
 	}
 	absorb := func(v topology.NodeID, k int, data []float64) {
 		d := dimOf(k)
@@ -387,7 +344,7 @@ func halvingDoublingOn(e *engine, cube topology.Cube, work [][]float64, tCompute
 			copy(work[v][lo*b:lo*b+len(data)], data)
 		}
 	}
-	dataExchangeOn(e, cube, rounds, dimOf, outbound, absorb, tCompute)
+	e.exchange(rounds, peer, outbound, absorb, tCompute)
 	return dr
 }
 
@@ -397,26 +354,21 @@ func halvingDoublingOn(e *engine, cube topology.Cube, work [][]float64, tCompute
 // The input is one vector per node, every vector N*b elements; the result
 // is verified against ExpectedReduceScatter before returning.
 func ReduceScatter(p ncube.Params, cube topology.Cube, in [][]float64, tCompute event.Time) (DataResult, error) {
-	if tCompute < 0 {
-		panic("collective: negative reduce-scatter compute time")
-	}
-	e := newEngine(p, cube)
 	blockOf(cube, in)
-	dr := halvingDoublingOn(e, cube, cloneRows(in), tCompute, true)
-	e.finish()
-	return *dr, VerifyData(dr.Data, ExpectedReduceScatter(in))
+	dr := run(p, cube, func(s *ncube.Session) *DataResult { return ReduceScatterOn(s, cloneRows(in), tCompute, nil) })
+	return dr, VerifyData(dr.Data, ExpectedReduceScatter(in))
 }
 
-// ReduceScatterOn launches ReduceScatter's schedule on a shared substrate
-// at the calendar's current time, taking ownership of in (it runs in
-// place; Data's rows are views of in). The caller drives the queue and
-// verifies Data against an ExpectedReduceScatter built before the launch.
-func ReduceScatterOn(sub Substrate, in [][]float64, tCompute event.Time) *DataResult {
+// ReduceScatterOn launches ReduceScatter's schedule on s at the calendar's
+// current time, taking ownership of in (it runs in place; Data's rows are
+// views of in). The caller drives the calendar and verifies Data against
+// an ExpectedReduceScatter built before the launch; done (if non-nil)
+// fires when the last node finishes, after Data is set.
+func ReduceScatterOn(s *ncube.Session, in [][]float64, tCompute event.Time, done func(Result)) *DataResult {
 	if tCompute < 0 {
 		panic("collective: negative reduce-scatter compute time")
 	}
-	e := newEngineOn(sub)
-	return halvingDoublingOn(e, sub.Net.Cube(), in, tCompute, true)
+	return halvingDoublingOn(s, in, tCompute, true, done)
 }
 
 // AllReduceHD is the data-carrying halving+doubling allreduce: a
@@ -425,45 +377,55 @@ func ReduceScatterOn(sub Substrate, in [][]float64, tCompute event.Time) *DataRe
 // vector per node, the bandwidth-optimal hypercube schedule. Every node
 // ends with the elementwise total, verified before returning.
 func AllReduceHD(p ncube.Params, cube topology.Cube, in [][]float64, tCompute event.Time) (DataResult, error) {
-	if tCompute < 0 {
-		panic("collective: negative allreduce compute time")
-	}
-	e := newEngine(p, cube)
 	blockOf(cube, in)
-	dr := halvingDoublingOn(e, cube, cloneRows(in), tCompute, false)
-	e.finish()
-	return *dr, VerifyData(dr.Data, ExpectedAllReduce(in))
+	dr := run(p, cube, func(s *ncube.Session) *DataResult { return AllReduceHDOn(s, cloneRows(in), tCompute, nil) })
+	return dr, VerifyData(dr.Data, ExpectedAllReduce(in))
 }
 
-// AllReduceHDOn launches AllReduceHD's schedule on a shared substrate,
-// taking ownership of in (Data is in, reduced in place); the caller drives
-// the queue and verifies Data against an ExpectedAllReduce built before
-// the launch.
-func AllReduceHDOn(sub Substrate, in [][]float64, tCompute event.Time) *DataResult {
+// AllReduceHDOn launches AllReduceHD's schedule on s, taking ownership of
+// in (Data is in, reduced in place); the caller drives the calendar and
+// verifies Data against an ExpectedAllReduce built before the launch.
+func AllReduceHDOn(s *ncube.Session, in [][]float64, tCompute event.Time, done func(Result)) *DataResult {
 	if tCompute < 0 {
 		panic("collective: negative allreduce compute time")
 	}
-	e := newEngineOn(sub)
-	return halvingDoublingOn(e, sub.Net.Cube(), in, tCompute, false)
+	return halvingDoublingOn(s, in, tCompute, false, done)
 }
 
-// allReduceRingOn runs the ring allreduce on the binary-reflected
-// Gray-code Hamiltonian cycle of the cube (consecutive ring positions are
-// hypercube neighbors, so every hand-off crosses one channel). Each node
-// pipelines 2(N-1) single-block steps: N-1 reduce-scatter steps, in which
-// step s moves chunk (p-s) mod N from ring position p to p+1 and the
-// receiver folds in its contribution, then N-1 allgather steps
-// circulating the finished chunks. A node issues step s+1 as soon as it
-// has absorbed step s from its predecessor, so the pipeline keeps every
-// ring link busy.
+// AllReduceRing is the data-carrying ring allreduce on the Gray-code
+// Hamiltonian cycle: bandwidth-identical to halving+doubling (2(N-1)
+// single-block steps per node) but latency-heavier — the classic
+// large-vector gradient-aggregation schedule. Verified before returning.
+func AllReduceRing(p ncube.Params, cube topology.Cube, in [][]float64, tCompute event.Time) (DataResult, error) {
+	blockOf(cube, in)
+	dr := run(p, cube, func(s *ncube.Session) *DataResult { return AllReduceRingOn(s, cloneRows(in), tCompute, nil) })
+	return dr, VerifyData(dr.Data, ExpectedAllReduce(in))
+}
+
+// AllReduceRingOn launches the ring allreduce on s, taking ownership of in
+// (Data is in, reduced in place); the caller drives the calendar and
+// verifies Data against an ExpectedAllReduce built before the launch.
 //
-// Runs in place on work; each payload is a view of the shipped chunk. A
-// node next writes the chunk it shipped at step s when it absorbs step
-// s+N-1, a message that leaves its predecessor only after the receiver of
-// step s absorbed it and the chain of N-1 hand-offs it started came back
-// around the ring.
-func allReduceRingOn(e *engine, cube topology.Cube, work [][]float64, tCompute event.Time) *DataResult {
-	b := blockOf(cube, work)
+// The ring is the binary-reflected Gray-code Hamiltonian cycle of the cube
+// (consecutive ring positions are hypercube neighbors, so every hand-off
+// crosses one channel), run as an exchange whose every step's peer is the
+// ring successor. Each node pipelines 2(N-1) single-block steps: N-1
+// reduce-scatter steps, in which step s moves chunk (p-s) mod N from ring
+// position p to p+1 and the receiver folds in its contribution, then N-1
+// allgather steps circulating the finished chunks. A node issues step s+1
+// as soon as it has absorbed step s from its predecessor, so the pipeline
+// keeps every ring link busy.
+//
+// Each payload is a view of the shipped chunk. A node next writes the
+// chunk it shipped at step s when it absorbs step s+N-1, a message that
+// leaves its predecessor only after the receiver of step s absorbed it and
+// the chain of N-1 hand-offs it started came back around the ring.
+func AllReduceRingOn(s *ncube.Session, in [][]float64, tCompute event.Time, done func(Result)) *DataResult {
+	if tCompute < 0 {
+		panic("collective: negative allreduce compute time")
+	}
+	cube := s.Network().Cube()
+	b := blockOf(cube, in)
 	nodes := cube.Nodes()
 	ring := make([]topology.NodeID, nodes) // position -> node (Gray code)
 	pos := make([]int, nodes)              // node -> position
@@ -472,12 +434,8 @@ func allReduceRingOn(e *engine, cube topology.Cube, work [][]float64, tCompute e
 		ring[i] = g
 		pos[g] = i
 	}
-	dr := attachData(e, func() [][]float64 { return work })
-	if nodes == 1 {
-		e.finished(0, e.q.Now())
-		return dr
-	}
-	steps := 2 * (nodes - 1)
+	e := newEngine(s, nodes, done)
+	dr := attachData(e, func() [][]float64 { return in })
 	mod := func(x int) int { return ((x % nodes) + nodes) % nodes }
 	// chunkSent is the chunk ring position p ships at step s.
 	chunkSent := func(p, s int) int {
@@ -486,13 +444,14 @@ func allReduceRingOn(e *engine, cube topology.Cube, work [][]float64, tCompute e
 		}
 		return mod(p + 1 - (s - (nodes - 1)))
 	}
-	stash := matrix[[]float64](nodes, steps) // stash[v][s]: v's step-s payload
-	expect := make([]int, nodes)             // next step to absorb, in order
-	var send func(v topology.NodeID, s int)
+	peer := func(v topology.NodeID, _ int) topology.NodeID { return ring[mod(pos[v]+1)] }
+	outbound := func(v topology.NodeID, s int) (int, []float64) {
+		c := chunkSent(pos[v], s)
+		return elems(in[v][c*b : (c+1)*b])
+	}
 	absorb := func(v topology.NodeID, s int, data []float64) {
-		p := pos[v]
-		c := chunkSent(mod(p-1), s) // what the predecessor shipped
-		seg := work[v][c*b : (c+1)*b]
+		c := chunkSent(mod(pos[v]-1), s) // what the predecessor shipped
+		seg := in[v][c*b : (c+1)*b]
 		if s < nodes-1 {
 			for i, x := range data {
 				seg[i] += x
@@ -500,66 +459,9 @@ func allReduceRingOn(e *engine, cube topology.Cube, work [][]float64, tCompute e
 		} else {
 			copy(seg, data)
 		}
-		if s+1 < steps {
-			send(v, s+1)
-		}
-		if s == steps-1 {
-			e.finished(v, e.q.Now())
-		}
 	}
-	drain := func(v topology.NodeID) {
-		for expect[v] < steps && stash[v][expect[v]] != nil {
-			s := expect[v]
-			data := stash[v][s]
-			stash[v][s] = nil
-			expect[v]++
-			absorb(v, s, data)
-		}
-	}
-	send = func(v topology.NodeID, s int) {
-		p := pos[v]
-		c := chunkSent(p, s)
-		payload := work[v][c*b : (c+1)*b]
-		succ := ring[mod(p+1)]
-		spec := sendSpec{to: succ, bytes: len(payload) * ElemBytes, tag: s, data: payload}
-		e.sendSeq(v, []sendSpec{spec}, func(sp sendSpec, d wormhole.Delivery) {
-			e.q.After(e.p.TRecv+tCompute, func() {
-				stash[d.To][sp.tag] = sp.data
-				drain(d.To)
-			})
-		})
-	}
-	for v := 0; v < nodes; v++ {
-		send(topology.NodeID(v), 0)
-	}
+	e.exchange(2*(nodes-1), peer, outbound, absorb, tCompute)
 	return dr
-}
-
-// AllReduceRing is the data-carrying ring allreduce on the Gray-code
-// Hamiltonian cycle: bandwidth-identical to halving+doubling (2(N-1)
-// single-block steps per node) but latency-heavier — the classic
-// large-vector gradient-aggregation schedule. Verified before returning.
-func AllReduceRing(p ncube.Params, cube topology.Cube, in [][]float64, tCompute event.Time) (DataResult, error) {
-	if tCompute < 0 {
-		panic("collective: negative allreduce compute time")
-	}
-	e := newEngine(p, cube)
-	blockOf(cube, in)
-	dr := allReduceRingOn(e, cube, cloneRows(in), tCompute)
-	e.finish()
-	return *dr, VerifyData(dr.Data, ExpectedAllReduce(in))
-}
-
-// AllReduceRingOn launches AllReduceRing's schedule on a shared substrate,
-// taking ownership of in (Data is in, reduced in place); the caller drives
-// the queue and verifies Data against an ExpectedAllReduce built before
-// the launch.
-func AllReduceRingOn(sub Substrate, in [][]float64, tCompute event.Time) *DataResult {
-	if tCompute < 0 {
-		panic("collective: negative allreduce compute time")
-	}
-	e := newEngineOn(sub)
-	return allReduceRingOn(e, sub.Net.Cube(), in, tCompute)
 }
 
 // a2aRuns names the blocks node v exchanges across dimension k of the
@@ -580,116 +482,56 @@ func a2aRuns(n int, v topology.NodeID, k int, f func(slot, i int)) {
 	}
 }
 
-// allToAllOn runs the pairwise-exchange (XOR) all-to-all: n rounds, one
-// per dimension ascending, each node exchanging the N/2 blocks whose
-// destination lies across the current dimension. Blocks hop between
-// partners until destination bits are satisfied dimension by dimension;
-// after round n-1 node v holds exactly the blocks addressed to it, one
-// from every source.
+// AllToAll performs the complete block exchange — node v's input block t
+// ends as slot v of node t's result — via the pairwise-exchange schedule
+// (n rounds, N/2 blocks per message, each message one channel). Verified
+// with VerifyAllToAll before returning.
+func AllToAll(p ncube.Params, cube topology.Cube, in [][]float64) (DataResult, error) {
+	blockOf(cube, in)
+	dr := run(p, cube, func(s *ncube.Session) *DataResult { return AllToAllOn(s, cloneRows(in), nil) })
+	return dr, VerifyAllToAll(dr.Data, in)
+}
+
+// AllToAllOn launches AllToAll's schedule on s, taking ownership of in
+// (Data is in, permuted in place); the caller drives the calendar and
+// verifies Data with VerifyAllToAll or VerifyAllToAllSeeded.
 //
-// Runs in place on work, with the slot layout of a2aRuns. A round's
+// The pairwise-exchange (XOR) all-to-all runs n rounds, one per dimension
+// ascending, each node exchanging the N/2 blocks whose destination lies
+// across the current dimension. Blocks hop between partners until
+// destination bits are satisfied dimension by dimension; after round n-1
+// node v holds exactly the blocks addressed to it, one from every source.
+//
+// It runs in place on in, with the slot layout of a2aRuns. A round's
 // outgoing blocks are not contiguous and their slots are refilled as soon
 // as the partner's payload is absorbed, so each node packs them into a
 // send buffer it owns: N/2 blocks, allocated once per node. The buffer
 // travels with the message, and the receiver adopts its partner's buffer
 // as its own once it has absorbed it, so a buffer is never packed while
 // any receiver still has to read it.
-func allToAllOn(e *engine, cube topology.Cube, work [][]float64) *DataResult {
-	b := blockOf(cube, work)
+func AllToAllOn(s *ncube.Session, in [][]float64, done func(Result)) *DataResult {
+	cube := s.Network().Cube()
+	b := blockOf(cube, in)
 	n := cube.Dim()
 	scratch := matrix[float64](cube.Nodes(), cube.Nodes()/2*b) // each node's send buffer
-	dr := attachData(e, func() [][]float64 { return work })
-	outbound := func(v topology.NodeID, k int) []float64 {
+	e := newEngine(s, cube.Nodes(), done)
+	dr := attachData(e, func() [][]float64 { return in })
+	outbound := func(v topology.NodeID, k int) (int, []float64) {
 		payload, run := scratch[v], b<<uint(k)
 		scratch[v] = nil
 		a2aRuns(n, v, k, func(slot, i int) {
-			copy(payload[i*run:(i+1)*run], work[v][slot*b:slot*b+run])
+			copy(payload[i*run:(i+1)*run], in[v][slot*b:slot*b+run])
 		})
-		return payload
+		return elems(payload)
 	}
 	absorb := func(v topology.NodeID, k int, data []float64) {
 		run := b << uint(k)
 		a2aRuns(n, v, k, func(slot, i int) {
-			copy(work[v][slot*b:slot*b+run], data[i*run:(i+1)*run])
+			copy(in[v][slot*b:slot*b+run], data[i*run:(i+1)*run])
 		})
 		scratch[v] = data
 	}
-	dataExchangeOn(e, cube, n, func(k int) int { return k }, outbound, absorb, 0)
-	return dr
-}
-
-// AllToAll performs the complete block exchange — node v's input block t
-// ends as slot v of node t's result — via the pairwise-exchange schedule
-// (n rounds, N/2 blocks per message, each message one channel). Verified
-// with VerifyAllToAll before returning.
-func AllToAll(p ncube.Params, cube topology.Cube, in [][]float64) (DataResult, error) {
-	e := newEngine(p, cube)
-	blockOf(cube, in)
-	dr := allToAllOn(e, cube, cloneRows(in))
-	e.finish()
-	return *dr, VerifyAllToAll(dr.Data, in)
-}
-
-// AllToAllOn launches AllToAll's schedule on a shared substrate, taking
-// ownership of in (Data is in, permuted in place); the caller drives the
-// queue and verifies Data with VerifyAllToAll or VerifyAllToAllSeeded.
-func AllToAllOn(sub Substrate, in [][]float64) *DataResult {
-	e := newEngineOn(sub)
-	return allToAllOn(e, sub.Net.Cube(), in)
-}
-
-// reduceDataOn runs the payload-carrying all-to-one reduction: partial
-// vectors converge on root up the dimension-ascending binomial tree
-// (Reduce's exact schedule and message sizes), each hop shipping the
-// sender's accumulated vector and each receipt charging TRecv + tCompute
-// before folding into the local accumulator.
-//
-// Runs in place on acc. Each payload is a view of the sender's
-// accumulator, which is final when sent: every child has folded in, and a
-// node sends once.
-func reduceDataOn(e *engine, cube topology.Cube, root topology.NodeID, acc [][]float64, tCompute event.Time) *DataResult {
-	uniformLen(cube, acc)
-	n := cube.Dim()
-	dr := attachData(e, func() [][]float64 { return acc })
-	pending := make([]int, cube.Nodes())
-	var ready func(r topology.NodeID)
-	ready = func(r topology.NodeID) {
-		node := absOf(cube, root, r)
-		if r == 0 {
-			e.finished(node, e.q.Now())
-			return
-		}
-		L := lowBit(r, n)
-		parent := r &^ (1 << uint(L))
-		spec := sendSpec{
-			to:    absOf(cube, root, parent),
-			bytes: len(acc[node]) * ElemBytes,
-			tag:   int(r),
-			data:  acc[node],
-		}
-		e.sendSeq(node, []sendSpec{spec}, func(s sendSpec, d wormhole.Delivery) {
-			e.finished(node, d.Arrived)
-			pr := relOf(cube, root, d.To)
-			e.q.After(e.p.TRecv+tCompute, func() {
-				seg := acc[d.To]
-				for i, x := range s.data {
-					seg[i] += x
-				}
-				pending[pr]--
-				if pending[pr] == 0 {
-					ready(pr)
-				}
-			})
-		})
-	}
-	for v := 0; v < cube.Nodes(); v++ {
-		pending[v] = lowBit(topology.NodeID(v), n)
-	}
-	for v := 0; v < cube.Nodes(); v++ {
-		if pending[v] == 0 {
-			ready(topology.NodeID(v))
-		}
-	}
+	e.exchange(n, cube.Neighbor, outbound, absorb, 0)
 	return dr
 }
 
@@ -698,26 +540,37 @@ func reduceDataOn(e *engine, cube topology.Cube, root topology.NodeID, acc [][]f
 // their partial accumulators). The root's vector is verified against the
 // column sum before returning.
 func ReduceData(p ncube.Params, cube topology.Cube, root topology.NodeID, in [][]float64, tCompute event.Time) (DataResult, error) {
-	cube.MustContain(root)
-	if tCompute < 0 {
-		panic("collective: negative reduce compute time")
-	}
-	e := newEngine(p, cube)
 	uniformLen(cube, in)
-	dr := reduceDataOn(e, cube, root, cloneRows(in), tCompute)
-	e.finish()
-	return *dr, VerifyData([][]float64{dr.Data[root]}, [][]float64{columnSum(in)})
+	dr := run(p, cube, func(s *ncube.Session) *DataResult { return ReduceDataOn(s, root, cloneRows(in), tCompute, nil) })
+	return dr, VerifyData([][]float64{dr.Data[root]}, [][]float64{columnSum(in)})
 }
 
-// ReduceDataOn launches ReduceData's schedule on a shared substrate,
-// taking ownership of in (Data is in, accumulated in place); the caller
-// drives the queue and verifies Data[root] against the column sum.
-func ReduceDataOn(sub Substrate, root topology.NodeID, in [][]float64, tCompute event.Time) *DataResult {
-	cube := sub.Net.Cube()
+// ReduceDataOn launches ReduceData's schedule on s, taking ownership of in
+// (Data is in, accumulated in place); the caller drives the calendar and
+// verifies Data[root] against the column sum.
+//
+// Partial vectors converge on root up Reduce's binomial tree, with
+// Reduce's exact schedule and message sizes: each hop ships the sender's
+// accumulated vector, and each receipt charges TRecv + tCompute before
+// folding into the local accumulator. Each payload is a view of the
+// sender's accumulator, which is final when sent: every child has folded
+// in, and a node sends once.
+func ReduceDataOn(s *ncube.Session, root topology.NodeID, in [][]float64, tCompute event.Time, done func(Result)) *DataResult {
+	cube := s.Network().Cube()
 	cube.MustContain(root)
 	if tCompute < 0 {
 		panic("collective: negative reduce compute time")
 	}
-	e := newEngineOn(sub)
-	return reduceDataOn(e, cube, root, in, tCompute)
+	uniformLen(cube, in)
+	e := newEngine(s, cube.Nodes(), done)
+	dr := attachData(e, func() [][]float64 { return in })
+	e.convergecast(binomialTree(cube, root), func(v topology.NodeID) (int, []float64) {
+		return elems(in[v])
+	}, func(v topology.NodeID, data []float64) {
+		seg := in[v]
+		for i, x := range data {
+			seg[i] += x
+		}
+	}, tCompute)
+	return dr
 }

@@ -5,7 +5,6 @@ import (
 	"hypercube/internal/event"
 	"hypercube/internal/ncube"
 	"hypercube/internal/topology"
-	"hypercube/internal/wormhole"
 )
 
 // ReduceTree executes the *reverse* of a multicast tree: a convergecast in
@@ -23,53 +22,42 @@ func ReduceTree(p ncube.Params, tr *core.Tree, bytes int, tCompute event.Time) R
 	if bytes < 0 || tCompute < 0 {
 		panic("collective: negative reduce parameter")
 	}
-	e := newEngine(p, tr.Cube)
+	up := reverseTree(tr)
+	return run(p, tr.Cube, func(s *ncube.Session) *Result {
+		e := newEngine(s, len(up.order), nil)
+		e.convergecast(up, fixedBytes(bytes), nil, tCompute)
+		return e.res
+	})
+}
 
-	// children[v] counts v's direct children; parents derived from sends.
-	children := map[topology.NodeID]int{}
-	parent := map[topology.NodeID]topology.NodeID{}
-	for _, s := range tr.Unicasts() {
-		children[s.From]++
-		parent[s.To] = s.From
+// reverseTree is tr run backwards: the members are the source plus every
+// receiver (Order lists senders only, and some trees' leaves never send),
+// each member sends to the node it received from, and the members launch
+// in ascending address order. A sender that neither is the source nor
+// receives has no parent to send to, so the tree is malformed.
+func reverseTree(tr *core.Tree) upTree {
+	nodes := tr.Cube.Nodes()
+	t := upTree{
+		root:    tr.Source,
+		parent:  make([]topology.NodeID, nodes),
+		pending: make([]int, nodes),
 	}
-
-	pending := map[topology.NodeID]int{}
-	var ready func(v topology.NodeID)
-	ready = func(v topology.NodeID) {
-		if v == tr.Source {
-			e.res.Finish[v] = e.q.Now()
-			return
+	member := make([]bool, nodes)
+	member[tr.Source] = true
+	for i, v := range tr.Order {
+		sends := tr.SendsAt(i)
+		t.pending[v] = len(sends)
+		for _, s := range sends {
+			t.parent[s.To] = v
+			member[s.To] = true
 		}
-		up, ok := parent[v]
-		if !ok {
+	}
+	for v, in := range member {
+		if in {
+			t.order = append(t.order, topology.NodeID(v))
+		} else if t.pending[v] > 0 {
 			panic("collective: tree member without a parent")
 		}
-		e.sendSeq(v, []sendSpec{{to: up, bytes: bytes}}, func(s sendSpec, d wormhole.Delivery) {
-			e.res.Finish[v] = d.Arrived
-			e.q.After(e.p.TRecv+tCompute, func() {
-				pending[d.To]--
-				if pending[d.To] == 0 {
-					ready(d.To)
-				}
-			})
-		})
 	}
-
-	// Every node that appears in the tree participates; leaves start at
-	// once.
-	seen := map[topology.NodeID]bool{tr.Source: true}
-	for _, s := range tr.Unicasts() {
-		seen[s.To] = true
-	}
-	for v := range seen {
-		pending[v] = children[v]
-	}
-	// Deterministic launch order: ascending addresses.
-	for n := 0; n < tr.Cube.Nodes(); n++ {
-		v := topology.NodeID(n)
-		if seen[v] && pending[v] == 0 {
-			ready(v)
-		}
-	}
-	return e.finish()
+	return t
 }

@@ -20,7 +20,8 @@ func randomMembers(rng *rand.Rand, c topology.Cube, src topology.NodeID, m int) 
 	return out
 }
 
-// Every member contributes exactly once and the root assembles the result.
+// Every receiver of every algorithm's tree contributes exactly once and
+// the root assembles the result.
 func TestReduceTreeCompleteness(t *testing.T) {
 	c := cube(6)
 	p := params(core.AllPort)
@@ -28,13 +29,15 @@ func TestReduceTreeCompleteness(t *testing.T) {
 	for trial := 0; trial < 40; trial++ {
 		src := topology.NodeID(rng.Intn(64))
 		members := randomMembers(rng, c, src, 1+rng.Intn(40))
-		for _, a := range []core.Algorithm{core.UCube, core.WSort} {
+		for _, a := range core.Algorithms() {
 			tr := core.Build(c, a, src, members)
 			r := ReduceTree(p, tr, 2048, 5*event.Microsecond)
-			if r.Messages != len(members) {
-				t.Fatalf("%v: %d messages for %d members", a, r.Messages, len(members))
+			// SFBinomial's receivers include relays beyond the members.
+			recv := len(tr.Destinations())
+			if r.Messages != recv {
+				t.Fatalf("%v: %d messages for %d receivers", a, r.Messages, recv)
 			}
-			if len(r.Finish) != len(members)+1 {
+			if len(r.Finish) != recv+1 {
 				t.Fatalf("%v: %d finishers", a, len(r.Finish))
 			}
 			rootFinish := r.Finish[src]
@@ -127,5 +130,28 @@ func TestReduceTreeEmpty(t *testing.T) {
 	r := ReduceTree(params(core.AllPort), tr, 64, 0)
 	if len(r.Finish) != 1 || r.Messages != 0 {
 		t.Fatalf("empty reduce: %+v", r)
+	}
+}
+
+// ReduceTree's Makespan is its latest finish — the root's, which absorbs
+// every contribution last.
+func TestReduceTreeMakespan(t *testing.T) {
+	c := cube(5)
+	rng := rand.New(rand.NewSource(47))
+	for _, pm := range []core.PortModel{core.AllPort, core.OnePort} {
+		for trial := 0; trial < 20; trial++ {
+			src := topology.NodeID(rng.Intn(c.Nodes()))
+			members := randomMembers(rng, c, src, 1+rng.Intn(c.Nodes()-1))
+			for _, a := range core.Algorithms() {
+				r := ReduceTree(params(pm), core.Build(c, a, src, members), 512, 3*event.Microsecond)
+				var last event.Time
+				for _, f := range r.Finish {
+					last = max(last, f)
+				}
+				if r.Makespan != last || last == 0 {
+					t.Fatalf("%v %v src=%v: makespan %v, latest finish %v", pm, a, src, r.Makespan, last)
+				}
+			}
+		}
 	}
 }

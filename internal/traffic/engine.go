@@ -138,7 +138,6 @@ type opState struct {
 // it to completion.
 type engine struct {
 	spec *Spec
-	p    ncube.Params
 	cube topology.Cube
 	ses  *ncube.Session
 	ops  []opState
@@ -191,7 +190,6 @@ func RunBudgetWorkers(spec *Spec, workers, maxSteps int, maxTime event.Time) (*R
 	}
 	e := &engine{
 		spec:    spec,
-		p:       p,
 		cube:    topology.New(spec.Dim, topology.HighToLow),
 		ops:     make([]opState, len(spec.Ops)),
 		injBusy: make(map[int]bool),
@@ -328,15 +326,10 @@ func (e *engine) start(i int) {
 	st := &e.ops[i]
 	st.started = true
 	st.startNS = e.ses.Now()
-	sub := collective.Substrate{
-		Queue:  e.ses.Queue(),
-		Net:    e.ses.Network(),
-		Params: e.p,
-		OnDone: func(r collective.Result) {
-			st.messages += r.Messages
-			st.blocked += r.TotalBlocked
-			e.complete(i)
-		},
+	done := func(r collective.Result) {
+		st.messages += r.Messages
+		st.blocked += r.TotalBlocked
+		e.complete(i)
 	}
 	switch st.op.Kind {
 	case KindMulticast, KindBroadcast, KindGroupPhase:
@@ -382,33 +375,32 @@ func (e *engine) start(i int) {
 				e.complete(i)
 			})
 	case KindScatter:
-		collective.ScatterOn(sub, topology.NodeID(st.op.Src), st.op.Bytes)
+		collective.ScatterOn(e.ses, topology.NodeID(st.op.Src), st.op.Bytes, done)
 	case KindGather:
-		collective.GatherOn(sub, topology.NodeID(st.op.Src), st.op.Bytes)
+		collective.GatherOn(e.ses, topology.NodeID(st.op.Src), st.op.Bytes, done)
 	case KindAllGather:
-		collective.AllGatherOn(sub, st.op.Bytes)
+		collective.AllGatherOn(e.ses, st.op.Bytes, done)
 	case KindReduceScatter, KindAllReduce, KindAllToAll:
-		e.startData(i, sub)
+		e.startData(i, done)
 	}
 }
 
 // startData launches a data-carrying op: synthesize the seeded per-node
-// input vectors, run the payload schedule on the shared substrate (which
+// input vectors, run the payload schedule on the shared session (which
 // consumes them in place), and — at the instant the collective completes,
 // before the op is marked done — verify the delivered data element by
 // element against the analytic expectation: a column sum taken before the
 // launch for the reductions, the input re-streamed from its seed for the
 // all-to-all. A mismatch fails the whole run: wrong data is a scheduling
 // bug, not a statistic.
-func (e *engine) startData(i int, sub collective.Substrate) {
+func (e *engine) startData(i int, base func(collective.Result)) {
 	st := &e.ops[i]
 	nodes := e.cube.Nodes()
 	seed, elems := e.spec.PayloadSeed(st.op), nodes*st.op.BlockElems()
 	in := collective.RandomData(seed, nodes, elems)
 	var want [][]float64
 	var dr *collective.DataResult
-	base := sub.OnDone
-	sub.OnDone = func(r collective.Result) {
+	done := func(r collective.Result) {
 		var err error
 		if want != nil {
 			err = collective.VerifyData(dr.Data, want)
@@ -427,16 +419,16 @@ func (e *engine) startData(i int, sub collective.Substrate) {
 	switch st.op.Kind {
 	case KindReduceScatter:
 		want = collective.ExpectedReduceScatter(in)
-		dr = collective.ReduceScatterOn(sub, in, 0)
+		dr = collective.ReduceScatterOn(e.ses, in, 0, done)
 	case KindAllReduce:
 		want = collective.ExpectedAllReduce(in)
 		if st.op.Algorithm == "ring" {
-			dr = collective.AllReduceRingOn(sub, in, 0)
+			dr = collective.AllReduceRingOn(e.ses, in, 0, done)
 		} else {
-			dr = collective.AllReduceHDOn(sub, in, 0)
+			dr = collective.AllReduceHDOn(e.ses, in, 0, done)
 		}
 	case KindAllToAll:
-		dr = collective.AllToAllOn(sub, in)
+		dr = collective.AllToAllOn(e.ses, in, done)
 	}
 }
 

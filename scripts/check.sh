@@ -157,6 +157,14 @@ grep -q '"data_verified": true' "$srvdir/db1"
 # A fault-free data collective request on /v1/collective, verified.
 curl -sf -X POST "http://$addr/v1/collective" -d '{"op":"allreduce","variant":"hd","dim":4,"bytes":64,"seed":7}' -o "$srvdir/cb1"
 grep -q '"data_verified": true' "$srvdir/cb1"
+# A timing-only collective: the first request misses, the second hits
+# the cache with the identical bytes.
+creq='{"op":"reduce","dim":4,"root":3,"bytes":64,"include_finish":true}'
+curl -sf -X POST "http://$addr/v1/collective" -d "$creq" -D "$srvdir/ch1" -o "$srvdir/rb1"
+curl -sf -X POST "http://$addr/v1/collective" -d "$creq" -D "$srvdir/ch2" -o "$srvdir/rb2"
+cmp "$srvdir/rb1" "$srvdir/rb2"
+grep -qi 'x-cache: miss' "$srvdir/ch1"
+grep -qi 'x-cache: hit' "$srvdir/ch2"
 # A faulted scenario: accepted, and its response carries delivery accounting.
 ftraf='{"dim":4,"ops":[{"kind":"fault-tolerant-multicast","src":0,"dest_count":3,"seed":4}],"faults":[{"kind":"link","count":2,"seed":9}]}'
 curl -sf -X POST "http://$addr/v1/traffic" -d "$ftraf" -o "$srvdir/fb1"
