@@ -18,6 +18,7 @@ import (
 	"hypercube/internal/chain"
 	"hypercube/internal/core"
 	"hypercube/internal/emulator"
+	"hypercube/internal/event"
 	"hypercube/internal/flitsim"
 	"hypercube/internal/ncube"
 	"hypercube/internal/optimal"
@@ -250,6 +251,51 @@ func BenchmarkCoreBuildSchedule(b *testing.B) {
 				core.NewSchedule(core.Build(cube, a, in.src, in.dests), core.AllPort)
 			}
 		}
+	}
+}
+
+// calendarOp is BenchmarkEventCalendar's typed event.
+type calendarOp struct{ fired int }
+
+func (o *calendarOp) RunEvent() { o.fired++ }
+
+// BenchmarkEventCalendar is the event-kernel layer alone, in the shape of
+// a Figure 13 run: a calendar held at depth 170 (the mean depth at pop
+// there), every executed event scheduling its successor, alternately a
+// typed Op and a closure, at delays with many equal instants. One op is
+// one schedule plus one Step.
+func BenchmarkEventCalendar(b *testing.B) {
+	b.ReportAllocs()
+	const depth = 170
+	delays := make([]event.Time, 1024)
+	for i := range delays {
+		delays[i] = event.Time(i*7919%13) * 150 * event.Nanosecond
+	}
+	var q event.Queue
+	op := &calendarOp{}
+	fn := func() { op.fired++ }
+	for i := 0; i < depth; i++ {
+		q.AtOp(delays[i], op)
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if d := delays[i%len(delays)]; i%2 == 0 {
+			q.AfterOp(d, op)
+		} else {
+			q.After(d, fn)
+		}
+		q.Step()
+	}
+}
+
+// BenchmarkSeededDraw is the seeded-draw floor of canonicalization and
+// keying: one re-seed plus a 32-of-63 destination draw on a 6-cube, the
+// draw behind every multicast of a traffic storm.
+func BenchmarkSeededDraw(b *testing.B) {
+	b.ReportAllocs()
+	cube := topology.New(6, topology.HighToLow)
+	for i := 0; i < b.N; i++ {
+		workload.DrawDests(cube, int64(i), 0, 32)
 	}
 }
 

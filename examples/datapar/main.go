@@ -10,9 +10,9 @@ package main
 
 import (
 	"fmt"
-	"math/rand"
 
 	"hypercube"
+	"hypercube/internal/seeded"
 )
 
 const (
@@ -43,7 +43,7 @@ func main() {
 		hypercube.SeparateAddressing, hypercube.UCube, hypercube.Maxport,
 		hypercube.Combine, hypercube.WSort,
 	} {
-		rng := rand.New(rand.NewSource(7)) // same subsets for every algorithm
+		rng := seeded.New(7) // same subsets for every algorithm
 		var sum hypercube.Time
 		for it := 0; it < phases; it++ {
 			var groups []*hypercube.Comm

@@ -29,8 +29,8 @@ import (
 
 	"hypercube/internal/event"
 	"hypercube/internal/ncube"
+	"hypercube/internal/seeded"
 	"hypercube/internal/topology"
-	"hypercube/internal/workload"
 )
 
 // ElemBytes is the wire size charged per payload vector element.
@@ -53,8 +53,8 @@ type DataResult struct {
 // combine order. The rows share one backing, each capacity-clipped so an
 // append to one cannot overwrite the next.
 func RandomData(seed int64, nodes, elems int) [][]float64 {
-	rng := workload.BorrowRand(seed)
-	defer workload.ReturnRand(rng)
+	rng := seeded.Borrow(seed)
+	defer seeded.Return(rng)
 	out := matrix[float64](nodes, elems)
 	for _, row := range out {
 		fillRandom(rng, row)
@@ -62,10 +62,12 @@ func RandomData(seed int64, nodes, elems int) [][]float64 {
 	return out
 }
 
-// fillRandom draws the next len(row) RandomData values from rng.
+// fillRandom draws the next len(row) RandomData values from rng. Each is
+// rng.Intn(1024) - 512, value for value: for a power-of-two bound, Intn
+// masks the top 31 bits of one Int63 draw, as done here inline.
 func fillRandom(rng *rand.Rand, row []float64) {
 	for i := range row {
-		row[i] = float64(rng.Intn(1024) - 512)
+		row[i] = float64(int(rng.Int63()>>32)&1023 - 512)
 	}
 }
 
@@ -210,8 +212,8 @@ func VerifyAllToAllSeeded(got [][]float64, seed int64, nodes, elems int) error {
 	if err := checkShape(got, nodes, elems); err != nil {
 		return err
 	}
-	rng := workload.BorrowRand(seed)
-	defer workload.ReturnRand(rng)
+	rng := seeded.Borrow(seed)
+	defer seeded.Return(rng)
 	row := make([]float64, elems)
 	for s := 0; s < nodes; s++ {
 		fillRandom(rng, row)

@@ -1,6 +1,7 @@
 package collective
 
 import (
+	"math/rand"
 	"reflect"
 	"strings"
 	"testing"
@@ -8,6 +9,23 @@ import (
 	"hypercube/internal/core"
 	"hypercube/internal/topology"
 )
+
+// fillRandom's masked draw is rng.Intn(1024) - 512 value for value (Intn
+// takes its power-of-two path: the low bits of the top 31 of one Int63),
+// over a stream long enough to cycle the source's 607-word state hundreds
+// of times, for several seeds.
+func TestFillRandomMatchesIntn(t *testing.T) {
+	for _, seed := range []int64{0, 1, -9, 1 << 40} {
+		row := make([]float64, 1<<17)
+		fillRandom(rand.New(rand.NewSource(seed)), row)
+		ref := rand.New(rand.NewSource(seed))
+		for i, v := range row {
+			if want := float64(ref.Intn(1024) - 512); v != want {
+				t.Fatalf("seed %d draw %d: %v, Intn gives %v", seed, i, v, want)
+			}
+		}
+	}
+}
 
 // The analytic-expectation goldens: every dim 2..6, three seeds, both port
 // models, every data-carrying variant. The standalone entry points verify

@@ -6,6 +6,7 @@ package event
 
 import (
 	"fmt"
+	"math/bits"
 
 	"hypercube/internal/metrics"
 )
@@ -30,41 +31,68 @@ func (t Time) Micros() string {
 func (t Time) Seconds() float64 { return float64(t) / float64(Second) }
 
 // Op is a pre-bound event: an object that knows how to run itself when its
-// time comes. Scheduling an Op (AtOp/AfterOp) allocates nothing — the
-// calendar stores the two interface words inline — whereas scheduling a
-// closure (At/After) allocates the closure. Simulators on the hot path
-// (wormhole's per-hop header advance and tail-drain events, ncube's
-// per-send software setup) implement Op on objects they already own.
+// time comes. Scheduling an Op (AtOp/AfterOp) allocates nothing, whereas
+// scheduling a closure (At/After) allocates the closure. Simulators on the
+// hot path (wormhole's per-hop header advance and tail-drain events,
+// ncube's per-send software setup) implement Op on objects they already
+// own.
 type Op interface {
 	// RunEvent executes the event at its scheduled time.
 	RunEvent()
 }
 
-// item is one calendar entry. Exactly one of op and fn is set.
-type item struct {
-	at  Time
-	seq uint64
-	op  Op
-	fn  func()
+// funcOp runs a closure as an Op. A func value is one pointer, so the
+// conversion to Op allocates nothing.
+type funcOp func()
+
+func (f funcOp) RunEvent() { f() }
+
+// arity is the calendar heap's branching factor. A 4-ary heap is half as
+// deep as a binary one and its sibling keys are adjacent in memory; pop's
+// tournament over a full family of siblings is written for four.
+const arity = 4
+
+// key is one calendar entry as the heap orders it. It holds no pointer, so
+// moving it inside the heap costs the garbage collector nothing; the event
+// itself waits in the payload slab at index slot.
+type key struct {
+	at   Time
+	seq  uint64
+	slot uint32
 }
 
 // before is the calendar's total order: time, then FIFO sequence. It has no
 // ties, so the execution order is unique and independent of the heap shape.
-func before(a, b item) bool {
-	if a.at != b.at {
-		return a.at < b.at
+// No event is ever scheduled at a negative time (nothing goes before now,
+// which starts at 0), so (at, seq) compares as one unsigned 128-bit number:
+// a subtract-with-borrow chain, without a data-dependent branch.
+func before(a, b *key) bool {
+	_, borrow := bits.Sub64(a.seq, b.seq, 0)
+	_, borrow = bits.Sub64(uint64(a.at), uint64(b.at), borrow)
+	return borrow != 0
+}
+
+// b2i is 1 for true and 0 for false; the compiler emits it as a flag set,
+// not a branch.
+func b2i(b bool) int {
+	if b {
+		return 1
 	}
-	return a.seq < b.seq
+	return 0
 }
 
 // Queue is a single-threaded event calendar. The zero value is ready to use.
 //
-// The calendar is a typed binary min-heap grown in place: no interface{}
-// boxing per push (the container/heap API costs one heap allocation per
-// scheduled event), no per-pop unboxing, and the backing array's capacity
-// survives Reset for pooled reuse across simulation runs.
+// The calendar is a 4-ary min-heap of pointer-free keys over a slab of
+// events. The keys in h[:len(h)] are the pending events; their slots and
+// the slots recorded in h[len(h):len(ops)] together are a permutation of
+// [0, len(ops)), so the capacity past the heap's end doubles as the free
+// list and a push takes its slot from h[len(h)]. Both slices grow together
+// and keep their capacity across Reset for pooled reuse across simulation
+// runs.
 type Queue struct {
-	h        []item
+	h        []key
+	ops      []Op
 	now      Time
 	seq      uint64
 	diagnose func() string
@@ -75,46 +103,86 @@ type Queue struct {
 	mDepth *metrics.Gauge
 }
 
-// push inserts it and restores the heap order by sifting up.
-func (q *Queue) push(it item) {
-	q.h = append(q.h, it)
-	i := len(q.h) - 1
+// push files op at time at and restores the heap order by moving a hole up
+// from the end.
+func (q *Queue) push(at Time, op Op) {
+	n := len(q.h)
+	slot := uint32(n) // a new slot, unless a freed one waits past the heap's end
+	if n < len(q.ops) {
+		slot = q.h[:n+1][n].slot
+	} else {
+		if n == cap(q.ops) {
+			q.grow()
+		}
+		q.ops = q.ops[:n+1]
+	}
+	q.h = q.h[:n+1]
+	q.ops[slot] = op
+	k := key{at: at, seq: q.seq, slot: slot}
+	h := q.h
+	i := n
 	for i > 0 {
-		parent := (i - 1) / 2
-		if !before(q.h[i], q.h[parent]) {
+		p := (i - 1) / arity
+		if !before(&k, &h[p]) {
 			break
 		}
-		q.h[i], q.h[parent] = q.h[parent], q.h[i]
-		i = parent
+		h[i] = h[p]
+		i = p
 	}
+	h[i] = k
 }
 
-// pop removes and returns the earliest entry. The vacated slot is zeroed so
-// the backing array does not retain the event's closure or Op.
-func (q *Queue) pop() item {
-	top := q.h[0]
-	n := len(q.h) - 1
-	q.h[0] = q.h[n]
-	q.h[n] = item{}
-	q.h = q.h[:n]
-	// Sift the relocated entry down.
+// grow doubles the calendar's capacity, sizing the heap and the slab
+// together: both always have the same capacity, so one check guards both.
+func (q *Queue) grow() {
+	c := max(2*cap(q.ops), 8)
+	h := make([]key, len(q.h), c)
+	copy(h, q.h)
+	ops := make([]Op, len(q.ops), c)
+	copy(ops, q.ops)
+	q.h, q.ops = h, ops
+}
+
+// pop removes the earliest entry and returns its time and event. The
+// event's slab entry is cleared and its slot filed past the heap's end.
+func (q *Queue) pop() (Time, Op) {
+	h := q.h
+	top := h[0]
+	n := len(h) - 1
+	last := h[n]
+	// Move the hole from the root down to where last belongs.
 	i := 0
 	for {
-		l := 2*i + 1
-		if l >= n {
+		c := arity*i + 1
+		if c >= n {
 			break
 		}
-		min := l
-		if r := l + 1; r < n && before(q.h[r], q.h[l]) {
-			min = r
+		kids := h[c:min(c+arity, n)]
+		m := 0
+		if len(kids) == arity {
+			// A full family: a branch-free tournament.
+			m = b2i(before(&kids[1], &kids[0]))
+			m2 := 2 + b2i(before(&kids[3], &kids[2]))
+			m += b2i(before(&kids[m2], &kids[m])) * (m2 - m)
+		} else {
+			for j := 1; j < len(kids); j++ {
+				if before(&kids[j], &kids[m]) {
+					m = j
+				}
+			}
 		}
-		if !before(q.h[min], q.h[i]) {
+		if !before(&kids[m], &last) {
 			break
 		}
-		q.h[i], q.h[min] = q.h[min], q.h[i]
-		i = min
+		h[i] = kids[m]
+		i = c + m
 	}
-	return top
+	h[i] = last
+	h[n] = key{slot: top.slot}
+	q.h = q.h[:n]
+	op := q.ops[top.slot]
+	q.ops[top.slot] = nil
+	return top.at, op
 }
 
 // SetMetrics wires the queue into a metrics registry: every executed event
@@ -136,12 +204,12 @@ func (q *Queue) Now() Time { return q.now }
 func (q *Queue) Len() int { return len(q.h) }
 
 // schedule validates t and inserts one calendar entry.
-func (q *Queue) schedule(t Time, op Op, fn func()) {
+func (q *Queue) schedule(t Time, op Op) {
 	if t < q.now {
 		panic(fmt.Sprintf("event: scheduling at %v before now %v", t, q.now))
 	}
 	q.seq++
-	q.push(item{at: t, seq: q.seq, op: op, fn: fn})
+	q.push(t, op)
 	if q.mDepth != nil {
 		q.mDepth.SetMax(int64(len(q.h)))
 	}
@@ -149,25 +217,25 @@ func (q *Queue) schedule(t Time, op Op, fn func()) {
 
 // At schedules fn to run at absolute time t. Scheduling in the past panics:
 // it would silently corrupt causality.
-func (q *Queue) At(t Time, fn func()) { q.schedule(t, nil, fn) }
+func (q *Queue) At(t Time, fn func()) { q.schedule(t, funcOp(fn)) }
 
 // After schedules fn to run d after the current time.
 func (q *Queue) After(d Time, fn func()) {
 	if d < 0 {
 		panic("event: negative delay")
 	}
-	q.schedule(q.now+d, nil, fn)
+	q.schedule(q.now+d, funcOp(fn))
 }
 
 // AtOp schedules op to run at absolute time t without allocating.
-func (q *Queue) AtOp(t Time, op Op) { q.schedule(t, op, nil) }
+func (q *Queue) AtOp(t Time, op Op) { q.schedule(t, op) }
 
 // AfterOp schedules op to run d after the current time without allocating.
 func (q *Queue) AfterOp(d Time, op Op) {
 	if d < 0 {
 		panic("event: negative delay")
 	}
-	q.schedule(q.now+d, op, nil)
+	q.schedule(q.now+d, op)
 }
 
 // Step runs the single earliest event, advancing the clock. It reports
@@ -176,16 +244,12 @@ func (q *Queue) Step() bool {
 	if len(q.h) == 0 {
 		return false
 	}
-	it := q.pop()
-	q.now = it.at
+	at, op := q.pop()
+	q.now = at
 	if q.mSteps != nil {
 		q.mSteps.Inc()
 	}
-	if it.op != nil {
-		it.op.RunEvent()
-	} else {
-		it.fn()
-	}
+	op.RunEvent()
 	return true
 }
 
@@ -208,14 +272,13 @@ func (q *Queue) stepIfBefore(horizon Time) bool {
 }
 
 // Reset returns the queue to its zero state while keeping the calendar's
-// backing array, so pooled runs reuse its capacity. Pending entries are
-// zeroed (a watchdog-aborted run leaves events behind; their references
-// must not outlive the run), and instruments and the diagnoser are
-// detached — reattach them per run.
+// capacity, so pooled runs reuse it. The event slab is zeroed (a
+// watchdog-aborted run leaves events behind; their references must not
+// outlive the run), and instruments and the diagnoser are detached —
+// reattach them per run.
 func (q *Queue) Reset() {
-	for i := range q.h {
-		q.h[i] = item{}
-	}
+	clear(q.ops)
+	q.ops = q.ops[:0]
 	q.h = q.h[:0]
 	q.now, q.seq = 0, 0
 	q.diagnose = nil

@@ -45,7 +45,6 @@ type crossEvent struct {
 	from int    // sending LP
 	seq  uint64 // sender-local sequence — (at, from, seq) is a total order
 	op   Op
-	fn   func()
 }
 
 // parLP is one logical process: a calendar plus its cross-event plumbing.
@@ -113,9 +112,12 @@ func (pq *ParallelQueue) Cross(from, to int, d Time, op Op, fn func()) {
 	if d < pq.lookahead {
 		panic(fmt.Sprintf("event: cross-LP delay %v below lookahead %v", d, pq.lookahead))
 	}
+	if op == nil {
+		op = funcOp(fn)
+	}
 	src := pq.lps[from]
 	src.seq++
-	pq.lps[to].inbox <- crossEvent{at: src.q.Now() + d, from: from, seq: src.seq, op: op, fn: fn}
+	pq.lps[to].inbox <- crossEvent{at: src.q.Now() + d, from: from, seq: src.seq, op: op}
 }
 
 // Run drives every LP until all calendars are empty (and, in windowed
@@ -279,7 +281,7 @@ func (pq *ParallelQueue) runWindowed(maxSteps int, maxTime Time) (Time, error) {
 				if ev.at < horizon {
 					panic(fmt.Sprintf("event: cross event at %v inside window ending %v", ev.at, horizon))
 				}
-				lp.q.schedule(ev.at, ev.op, ev.fn)
+				lp.q.schedule(ev.at, ev.op)
 			}
 			lp.staged = lp.staged[:0]
 		}

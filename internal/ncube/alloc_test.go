@@ -39,3 +39,29 @@ func TestRunInstrumentedAllocs(t *testing.T) {
 		}
 	}
 }
+
+// TestInjectFaultTolerantAllocs pins the allocation count of one
+// fault-free fault-tolerant multicast injected on a pooled session, as the
+// traffic engine issues them. A session-injected op runs without jitter,
+// so it must not pay for a random source it never draws from.
+func TestInjectFaultTolerantAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are not deterministic under -race")
+	}
+	cube := topology.New(5, topology.HighToLow)
+	dests := randomDests(rand.New(rand.NewSource(1993)), 5, 0, 12)
+	a := core.WSort
+	p := NCube2(core.AllPort)
+	got := testing.AllocsPerRun(50, func() {
+		s := NewSession(p, cube, Instrumentation{})
+		s.InjectFaultTolerant(0, a, 0, dests, 4096, nil, nil)
+		if err := s.Run(0, 0); err != nil {
+			t.Fatal(err)
+		}
+		s.Release()
+	})
+	const max = 273 // an unused rand.NewSource adds 2
+	if got > max {
+		t.Errorf("session-injected FT multicast: %v allocs/run, want <= %v", got, max)
+	}
+}

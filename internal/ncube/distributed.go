@@ -2,11 +2,11 @@ package ncube
 
 import (
 	"fmt"
-	"math/rand"
 
 	"hypercube/internal/chain"
 	"hypercube/internal/core"
 	"hypercube/internal/event"
+	"hypercube/internal/seeded"
 	"hypercube/internal/topology"
 	"hypercube/internal/wormhole"
 )
@@ -47,7 +47,7 @@ func RunDistributed(jp JitterParams, cube topology.Cube, a core.Algorithm, src t
 	}
 	q := &event.Queue{}
 	net := wormhole.New(q, cube, jp.NetConfig())
-	rng := rand.New(rand.NewSource(jp.Seed))
+	rng := seeded.New(jp.Seed)
 	jitter := func(d event.Time) event.Time {
 		if jp.Amount == 0 {
 			return d

@@ -8,6 +8,7 @@ import (
 	"hypercube/internal/core"
 	"hypercube/internal/event"
 	"hypercube/internal/faults"
+	"hypercube/internal/seeded"
 	"hypercube/internal/topology"
 	"hypercube/internal/wormhole"
 )
@@ -112,9 +113,11 @@ func RunFaultTolerantInstrumented(jp JitterParams, cube topology.Cube, a core.Al
 		q:      &s.q,
 		net:    s.net,
 		inj:    inj,
-		rng:    rand.New(rand.NewSource(jp.Seed)),
 		got:    make(map[topology.NodeID]bool),
 		isDest: destSet(src, dests),
+	}
+	if jp.Amount != 0 {
+		r.rng = seeded.New(jp.Seed)
 	}
 	ins.Metrics.Counter("mcast_runs").Inc()
 	r.initReliability()
@@ -206,7 +209,7 @@ type ftRun struct {
 	q   *event.Queue
 	net *wormhole.Network
 	inj NodeOracle
-	rng *rand.Rand
+	rng *rand.Rand // jitter draws; nil when jp.Amount is 0 (never drawn)
 
 	timeout event.Time
 	backoff float64
@@ -517,7 +520,6 @@ func (s *Session) InjectFaultTolerant(at event.Time, a core.Algorithm, src topol
 		q:      &s.q,
 		net:    s.net,
 		inj:    oracle,
-		rng:    rand.New(rand.NewSource(0)), // zero jitter: never consulted
 		got:    make(map[topology.NodeID]bool, len(dests)+1),
 		isDest: destSet(src, dests),
 	}

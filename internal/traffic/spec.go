@@ -36,6 +36,7 @@ import (
 	"hypercube/internal/event"
 	"hypercube/internal/faults"
 	"hypercube/internal/ncube"
+	"hypercube/internal/seeded"
 	"hypercube/internal/topology"
 	"hypercube/internal/vc"
 	"hypercube/internal/workload"
@@ -772,8 +773,8 @@ func (s *Spec) expandArrivals(cube topology.Cube, lim Limits) error {
 	if a.Op.Src != nil && (*a.Op.Src < 0 || *a.Op.Src >= cube.Nodes()) {
 		return fmt.Errorf("traffic: arrivals src %d outside the %d-node cube", *a.Op.Src, cube.Nodes())
 	}
-	rng := workload.BorrowRand(s.Seed)
-	defer workload.ReturnRand(rng)
+	rng := seeded.Borrow(s.Seed)
+	defer seeded.Return(rng)
 	stamp := func(i int) Op {
 		op := Op{
 			ID:        fmt.Sprintf("arr%03d", i),

@@ -7,9 +7,9 @@ package workload
 import (
 	"fmt"
 	"math/rand"
-	"sync"
 
 	"hypercube/internal/bits"
+	"hypercube/internal/seeded"
 	"hypercube/internal/topology"
 )
 
@@ -21,7 +21,7 @@ type Generator struct {
 
 // NewGenerator creates a generator for cube seeded deterministically.
 func NewGenerator(cube topology.Cube, seed int64) *Generator {
-	return &Generator{cube: cube, rng: rand.New(rand.NewSource(seed))}
+	return &Generator{cube: cube, rng: seeded.New(seed)}
 }
 
 // Dests draws m distinct destinations uniformly from the cube, excluding
@@ -34,8 +34,8 @@ func (g *Generator) Dests(src topology.NodeID, m int) []topology.NodeID {
 // DrawDests is NewGenerator(cube, seed).Dests(src, m) — the same draw,
 // value for value — on a pooled source instead of a fresh 4.9 KB one.
 func DrawDests(cube topology.Cube, seed int64, src topology.NodeID, m int) []topology.NodeID {
-	rng := BorrowRand(seed)
-	defer ReturnRand(rng)
+	rng := seeded.Borrow(seed)
+	defer seeded.Return(rng)
 	return drawDests(rng, cube, src, m)
 }
 
@@ -59,23 +59,6 @@ func drawDests(rng *rand.Rand, cube topology.Cube, src topology.NodeID, m int) [
 	}
 	return out
 }
-
-// rands recycles seeded sources: rand.NewSource allocates 4.9 KB of
-// generator state, and re-seeding an existing *rand.Rand restores exactly
-// the state a fresh one starts from.
-var rands = sync.Pool{New: func() any { return rand.New(rand.NewSource(0)) }}
-
-// BorrowRand returns a pooled *rand.Rand seeded with seed: it yields the
-// same stream as rand.New(rand.NewSource(seed)). Hand it back with
-// ReturnRand once done and keep no reference to it afterwards.
-func BorrowRand(seed int64) *rand.Rand {
-	rng := rands.Get().(*rand.Rand)
-	rng.Seed(seed)
-	return rng
-}
-
-// ReturnRand gives a source from BorrowRand back to the pool.
-func ReturnRand(rng *rand.Rand) { rands.Put(rng) }
 
 // Source draws a uniformly random source node.
 func (g *Generator) Source() topology.NodeID {

@@ -298,8 +298,9 @@ func TestParallelMatchesSerial(t *testing.T) {
 }
 
 // DrawDests must reproduce NewGenerator(cube, seed).Dests(src, m) value
-// for value: every dimension 1..12 and every m, each draw re-seeding the
-// pooled source the previous draw used with an unrelated seed.
+// for value, and both the draw on a math/rand source: every dimension
+// 1..12 and every m, each draw re-seeding the pooled source the previous
+// draw used with an unrelated seed.
 func TestDrawDestsMatchesGenerator(t *testing.T) {
 	for dim := 1; dim <= 12; dim++ {
 		cube := topology.New(dim, topology.HighToLow)
@@ -310,27 +311,14 @@ func TestDrawDestsMatchesGenerator(t *testing.T) {
 				seed = -seed
 			}
 			src := topology.NodeID((int(seed)%n + n) % n)
-			want := NewGenerator(cube, seed).Dests(src, m)
+			want := drawDests(rand.New(rand.NewSource(seed)), cube, src, m)
+			if gen := NewGenerator(cube, seed).Dests(src, m); !slices.Equal(gen, want) {
+				t.Fatalf("dim=%d m=%d seed=%d: generator %v, math/rand %v", dim, m, seed, gen, want)
+			}
 			if got := DrawDests(cube, seed, src, m); !slices.Equal(got, want) {
-				t.Fatalf("dim=%d m=%d seed=%d: DrawDests %v, generator %v", dim, m, seed, got, want)
+				t.Fatalf("dim=%d m=%d seed=%d: DrawDests %v, math/rand %v", dim, m, seed, got, want)
 			}
 		}
-	}
-}
-
-// A borrowed source yields the stream of a fresh one, whatever the pooled
-// source drew before it was returned.
-func TestBorrowRandMatchesFresh(t *testing.T) {
-	for _, seed := range []int64{0, 1, 42, -7, 1 << 40} {
-		r := BorrowRand(seed)
-		fresh := rand.New(rand.NewSource(seed))
-		for i := 0; i < 1000; i++ {
-			if a, b := r.Int63(), fresh.Int63(); a != b {
-				t.Fatalf("seed %d draw %d: borrowed %d, fresh %d", seed, i, a, b)
-			}
-		}
-		r.ExpFloat64()
-		ReturnRand(r)
 	}
 }
 
