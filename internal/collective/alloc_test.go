@@ -14,16 +14,13 @@ import (
 var raceEnabled bool
 
 // TestDataCollectiveAllocs pins what one 5-cube collective costs on a
-// shared session, launch through completion, with 1024-byte blocks: for
-// the data collectives a 1 MiB input the launch consumes in place.
-// Payloads are views of the senders' vectors, so no launch allocates
-// per-step copies of the data; the all-to-all alone allocates its
-// per-node send buffers (half the input, 512 KiB). The rest is the
-// schedule's bookkeeping and about seven event and wormhole allocations
-// per message — so the ring, with 2(N-1) steps per node against
-// halving+doubling's 2n, costs the most. The timing-only barrier and
-// all-gather rows pin that a payload-free exchange keeps no payload
-// buffers.
+// warm pooled session, borrow through Release as real callers do, with
+// 1024-byte blocks: for the data collectives a 1 MiB input the launch
+// consumes in place. Messages are session-slab steps that carry no
+// payload, so every launch — the ring's 1,984 messages included — costs a
+// constant number of allocations for its result and per-node tables, and
+// no bytes that scale with the vector or the message count. The ceilings
+// are the measured counts plus two allocations and about a KiB.
 func TestDataCollectiveAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are not deterministic under -race")
@@ -33,32 +30,31 @@ func TestDataCollectiveAllocs(t *testing.T) {
 	p := params(core.AllPort)
 	pristine := RandomData(1993, c.Nodes(), c.Nodes()*blockElems)
 	in := cloneRows(pristine)
-	s := ncube.NewSession(p, c, ncube.Instrumentation{})
-	defer s.Release()
 	for _, tc := range []struct {
 		name      string
-		launch    func()
+		launch    func(s *ncube.Session)
 		maxAllocs float64
 		maxKiB    float64
 	}{
-		{"allreduce-hd", func() { AllReduceHDOn(s, in, 0, nil) }, 2350, 215},
-		{"reduce-scatter", func() { ReduceScatterOn(s, in, 0, nil) }, 1200, 110},
-		{"allreduce-ring", func() { AllReduceRingOn(s, in, 0, nil) }, 14500, 1100},
-		{"alltoall", func() { AllToAllOn(s, in, nil) }, 1200, 512 + 135},
-		{"reduce-data", func() { ReduceDataOn(s, topology.NodeID(5), in, 0, nil) }, 250, 22},
-		{"barrier", func() {
-			dimensionExchange(s, func(topology.NodeID, int) (int, []float64) { return 8, nil }, 0, nil)
-		}, 1168, 90.3},
-		{"allgather", func() { AllGatherOn(s, blockElems*ElemBytes, nil) }, 1169, 90.3},
+		{"allreduce-hd", func(s *ncube.Session) { AllReduceHDOn(s, in, 0, nil) }, 12, 3},
+		{"reduce-scatter", func(s *ncube.Session) { ReduceScatterOn(s, in, 0, nil) }, 13, 4},
+		{"allreduce-ring", func(s *ncube.Session) { AllReduceRingOn(s, in, 0, nil) }, 15, 3.5},
+		{"alltoall", func(s *ncube.Session) { AllToAllOn(s, in, nil) }, 11, 3},
+		{"reduce-data", func(s *ncube.Session) { ReduceDataOn(s, topology.NodeID(5), in, 0, nil) }, 12, 3},
+		{"barrier", func(s *ncube.Session) { dimensionExchange(s, func(int) int { return 8 }, 0, nil) }, 10, 3},
+		{"allgather", func(s *ncube.Session) { AllGatherOn(s, blockElems*ElemBytes, nil) }, 10, 3},
+		{"scatter", func(s *ncube.Session) { ScatterOn(s, 5, blockElems*ElemBytes, nil) }, 8, 2.5},
 	} {
 		run := func() {
 			for v := range in {
 				copy(in[v], pristine[v])
 			}
-			tc.launch()
+			s := ncube.NewSession(p, c, ncube.Instrumentation{})
+			tc.launch(s)
 			if err := s.Run(0, 0); err != nil {
 				t.Fatal(err)
 			}
+			s.Release()
 		}
 		allocs := testing.AllocsPerRun(20, run)
 		kib := bytesPerRun(20, run) / 1024

@@ -16,7 +16,8 @@
 package collective
 
 import (
-	"hypercube/internal/core"
+	"math/bits"
+
 	"hypercube/internal/event"
 	"hypercube/internal/ncube"
 	"hypercube/internal/topology"
@@ -38,30 +39,27 @@ type Result struct {
 	TotalBlocked event.Time
 }
 
-// engine is the state of one collective launch on a session's calendar and
-// network.
+// engine is the bookkeeping every collective launch shares: its result,
+// the nodes still to finish, and the completion hook. Each schedule shape
+// embeds it in its ncube.StepProgram — scatter, convergecast, exchange —
+// whose messages are ncube.Steps carved from the session's slab, so a
+// launch allocates nothing per message.
 type engine struct {
-	q         *event.Queue
-	net       *wormhole.Network
-	p         ncube.Params
-	res       *Result
+	s *ncube.Session
+	// dr is the launch's result; a timing-only launch hands out
+	// &dr.Result and leaves Data nil.
+	dr        DataResult
 	remaining int // nodes that have not finished yet
 	onDone    func(Result)
 }
 
-// newEngine starts a launch on s in which nodes nodes take part. The
-// schedule launches at the calendar's current time and the caller drives
-// the calendar. done, if non-nil, fires on the calendar at the instant the
+// init starts a launch on s in which nodes nodes take part. The schedule
+// launches at the calendar's current time and the caller drives the
+// calendar. done, if non-nil, fires on the calendar at the instant the
 // last node finishes, with Finish times in absolute simulated time.
-func newEngine(s *ncube.Session, nodes int, done func(Result)) *engine {
-	return &engine{
-		q:         s.Queue(),
-		net:       s.Network(),
-		p:         s.Params(),
-		res:       &Result{Finish: make(map[topology.NodeID]event.Time, nodes)},
-		remaining: nodes,
-		onDone:    done,
-	}
+func (e *engine) init(s *ncube.Session, nodes int, done func(Result)) {
+	e.s, e.remaining, e.onDone = s, nodes, done
+	e.dr.Finish = make(map[topology.NodeID]event.Time, nodes)
 }
 
 // run is the one standalone execution path: launch at t=0 on a borrowed
@@ -77,68 +75,32 @@ func run[R any](p ncube.Params, cube topology.Cube, launch func(s *ncube.Session
 	return *r
 }
 
+// delivered accounts one message's arrival. Per-message accumulation
+// keeps the totals per-operation on a shared network; standalone,
+// TotalBlocked equals net.TotalBlocked().
+func (e *engine) delivered(d wormhole.Delivery) {
+	e.dr.Messages++
+	e.dr.TotalBlocked += d.Blocked
+}
+
 // finished records node v completing its role at time t, maintains the
 // makespan, and fires the completion hook when the last node lands.
 func (e *engine) finished(v topology.NodeID, t event.Time) {
-	if _, dup := e.res.Finish[v]; !dup {
+	r := &e.dr.Result
+	if _, dup := r.Finish[v]; !dup {
 		e.remaining--
 	}
-	e.res.Finish[v] = t
-	if t > e.res.Makespan {
-		e.res.Makespan = t
+	r.Finish[v] = t
+	if t > r.Makespan {
+		r.Makespan = t
 	}
 	if e.remaining == 0 && e.onDone != nil {
-		e.onDone(*e.res)
+		e.onDone(*r)
 	}
 }
 
-// sendSpec is one message of a schedule.
-type sendSpec struct {
-	to    topology.NodeID
-	bytes int
-	// tag identifies the message to the receiver's handler.
-	tag int
-	// data is the payload the message carries, when the schedule moves
-	// real data (see payload.go). It rides alongside the byte count —
-	// the wormhole model only ever sees bytes — so attaching a payload
-	// cannot perturb the event schedule of a timing-only execution.
-	data []float64
-}
-
-// sendSeq issues node's sends serially (TStartup each), respecting the
-// port model, invoking each onDelivered as the matching tail arrives.
-func (e *engine) sendSeq(node topology.NodeID, sends []sendSpec, onDelivered func(spec sendSpec, d wormhole.Delivery)) {
-	var issue func(i int)
-	issue = func(i int) {
-		if i >= len(sends) {
-			return
-		}
-		s := sends[i]
-		e.q.After(e.p.TStartup, func() {
-			e.res.Messages++
-			done := func(d wormhole.Delivery) {
-				// Per-delivery accumulation keeps the total per-operation
-				// on a shared network; standalone it equals
-				// net.TotalBlocked() (every send passes through here).
-				e.res.TotalBlocked += d.Blocked
-				if onDelivered != nil {
-					onDelivered(s, d)
-				}
-			}
-			switch e.p.Port {
-			case core.AllPort:
-				e.net.Send(node, s.to, s.bytes, done)
-				issue(i + 1)
-			case core.OnePort:
-				e.net.Send(node, s.to, s.bytes, func(d wormhole.Delivery) {
-					done(d)
-					issue(i + 1)
-				})
-			}
-		})
-	}
-	issue(0)
-}
+// lowBit returns the position of v's lowest set bit, or n for zero.
+func lowBit(v topology.NodeID, n int) int { return min(bits.TrailingZeros(uint(v)), n) }
 
 // rel/abs translate between a root-relative canonical address space and
 // machine addresses, as in the multicast core.
@@ -150,16 +112,6 @@ func absOf(c topology.Cube, root, r topology.NodeID) topology.NodeID {
 	return c.Canon(r ^ c.Canon(root))
 }
 
-// lowBit returns the position of the lowest set bit, or n for zero.
-func lowBit(v topology.NodeID, n int) int {
-	for d := 0; d < n; d++ {
-		if v&(1<<uint(d)) != 0 {
-			return d
-		}
-	}
-	return n
-}
-
 // Scatter distributes a distinct blockBytes-sized block from root to every
 // node using the dimension-descending binomial schedule: a holder of the
 // blocks for a 2^h-node subcube forwards, per dimension d < h, the 2^d
@@ -167,6 +119,16 @@ func lowBit(v topology.NodeID, n int) int {
 // crosses one channel.
 func Scatter(p ncube.Params, cube topology.Cube, root topology.NodeID, blockBytes int) Result {
 	return run(p, cube, func(s *ncube.Session) *Result { return ScatterOn(s, root, blockBytes, nil) })
+}
+
+// scatter is Scatter's step program. Step t-1 delivers to the node at
+// root-relative address t (t >= 1), from t with its lowest set bit d
+// cleared, and is tagged d: its receiver forwards across dimensions d-1
+// down to 0. A sender's steps chain through Next in that order.
+type scatter struct {
+	engine
+	root  topology.NodeID
+	steps []ncube.Step
 }
 
 // ScatterOn launches Scatter's schedule on s at the calendar's current
@@ -179,27 +141,39 @@ func ScatterOn(s *ncube.Session, root topology.NodeID, blockBytes int, done func
 	if blockBytes < 0 {
 		panic("collective: negative block size")
 	}
-	e := newEngine(s, cube.Nodes(), done)
-	var deliver func(s sendSpec, d wormhole.Delivery)
-	forward := func(node topology.NodeID, h int) {
-		r := relOf(cube, root, node)
-		var sends []sendSpec
-		for d := h - 1; d >= 0; d-- {
-			sends = append(sends, sendSpec{
-				to:    absOf(cube, root, r|1<<uint(d)),
-				bytes: blockBytes * (1 << uint(d)),
-				tag:   d,
-			})
+	sc := &scatter{root: root}
+	sc.init(s, cube.Nodes(), done)
+	sc.steps = s.Steps(sc, s.Params().TRecv, cube.Nodes()-1)
+	for t := 1; t < cube.Nodes(); t++ {
+		d := bits.TrailingZeros(uint(t))
+		st := &sc.steps[t-1]
+		st.From = absOf(cube, root, topology.NodeID(t&^(1<<d)))
+		st.To = absOf(cube, root, topology.NodeID(t))
+		st.Bytes, st.Tag = blockBytes<<d, int32(d)
+		if d > 0 {
+			st.Next = &sc.steps[t-1-(1<<(d-1))]
 		}
-		e.sendSeq(node, sends, deliver)
 	}
-	deliver = func(s sendSpec, d wormhole.Delivery) {
-		e.finished(d.To, d.Arrived)
-		e.q.After(e.p.TRecv, func() { forward(d.To, s.tag) })
+	sc.finished(root, s.Now())
+	sc.forward(0, cube.Dim())
+	return &sc.dr.Result
+}
+
+// forward issues the sends of the node at relative address r, which
+// holds the blocks of a 2^h-node subcube.
+func (sc *scatter) forward(r, h int) {
+	if h > 0 {
+		sc.steps[(r|1<<(h-1))-1].Issue()
 	}
-	e.finished(root, e.q.Now())
-	forward(root, cube.Dim())
-	return e.res
+}
+
+func (sc *scatter) Delivered(_ *ncube.Step, d wormhole.Delivery) {
+	sc.delivered(d)
+	sc.finished(d.To, d.Arrived)
+}
+
+func (sc *scatter) Received(st *ncube.Step) {
+	sc.forward(int(relOf(sc.s.Network().Cube(), sc.root, st.To)), int(st.Tag))
 }
 
 // upTree is the shape of a convergecast: its root, each participant's
@@ -214,7 +188,8 @@ type upTree struct {
 
 // binomialTree is the dimension-ascending binomial tree rooted at root:
 // the node at root-relative address r has its lowBit(r) children r|1<<d
-// (d < lowBit(r)) and sends to r with its lowest set bit cleared. The
+// (d < lowBit(r), the position of r's lowest set bit, n for the root) and
+// sends to r with its lowest set bit cleared. The
 // launch order is ascending relative address.
 func binomialTree(cube topology.Cube, root topology.NodeID) upTree {
 	n, nodes := cube.Dim(), cube.Nodes()
@@ -232,40 +207,62 @@ func binomialTree(cube topology.Cube, root topology.NodeID) upTree {
 	return t
 }
 
-// convergecast runs a reduction up t: each participant sends once, to its
-// parent, as soon as it has absorbed all its children — each receipt
-// costing TRecv + tCompute — and finishes when its message arrives; the
-// root finishes when it has absorbed its last child. outbound(v) is v's
-// message, a byte count and an optional payload; absorb, nil for a
-// timing-only schedule, folds a payload into its receiver.
-func (e *engine) convergecast(t upTree, outbound func(v topology.NodeID) (int, []float64),
-	absorb func(v topology.NodeID, data []float64), tCompute event.Time) {
-	pending := t.pending // per-message closures capture this, not all of t
-	var ready func(v topology.NodeID)
-	ready = func(v topology.NodeID) {
-		if v == t.root {
-			e.finished(v, e.q.Now())
-			return
+// convergecast is the step program of a reduction up t: each
+// participant sends once, to its parent, as soon as it has absorbed all
+// its children — each receipt costing TRecv + tCompute — and finishes
+// when its message arrives; the root finishes when it has absorbed its
+// last child. steps[v] carries v's message.
+type convergecast struct {
+	engine
+	t     upTree
+	steps []ncube.Step
+	// absorb folds sender u's payload into v; nil for a timing-only
+	// schedule.
+	absorb func(v, u topology.NodeID)
+}
+
+// convergecastOn launches a convergecast up t on s in which participant
+// v's message is bytes(v) long.
+func convergecastOn(s *ncube.Session, t upTree, bytes func(v topology.NodeID) int,
+	absorb func(v, u topology.NodeID), tCompute event.Time, done func(Result)) *convergecast {
+	c := &convergecast{t: t, absorb: absorb}
+	c.init(s, len(t.order), done)
+	c.steps = s.Steps(c, s.Params().TRecv+tCompute, s.Network().Cube().Nodes())
+	for _, v := range t.order {
+		if v != t.root {
+			st := &c.steps[v]
+			st.From, st.To, st.Bytes = v, t.parent[v], bytes(v)
 		}
-		bytes, data := outbound(v)
-		e.sendSeq(v, []sendSpec{{to: t.parent[v], bytes: bytes, data: data}}, func(s sendSpec, d wormhole.Delivery) {
-			e.finished(v, d.Arrived) // contribution delivered
-			to := d.To
-			e.q.After(e.p.TRecv+tCompute, func() {
-				if absorb != nil {
-					absorb(to, data)
-				}
-				pending[to]--
-				if pending[to] == 0 {
-					ready(to)
-				}
-			})
-		})
 	}
 	for _, v := range t.order {
-		if pending[v] == 0 {
-			ready(v)
+		if t.pending[v] == 0 {
+			c.ready(v)
 		}
+	}
+	return c
+}
+
+// ready fires when v has absorbed all its children.
+func (c *convergecast) ready(v topology.NodeID) {
+	if v == c.t.root {
+		c.finished(v, c.s.Now())
+		return
+	}
+	c.steps[v].Issue()
+}
+
+func (c *convergecast) Delivered(st *ncube.Step, d wormhole.Delivery) {
+	c.delivered(d)
+	c.finished(st.From, d.Arrived) // contribution delivered
+}
+
+func (c *convergecast) Received(st *ncube.Step) {
+	if c.absorb != nil {
+		c.absorb(st.To, st.From)
+	}
+	c.t.pending[st.To]--
+	if c.t.pending[st.To] == 0 {
+		c.ready(st.To)
 	}
 }
 
@@ -287,11 +284,10 @@ func GatherOn(s *ncube.Session, root topology.NodeID, blockBytes int, done func(
 		panic("collective: negative block size")
 	}
 	n := cube.Dim()
-	e := newEngine(s, cube.Nodes(), done)
-	e.convergecast(binomialTree(cube, root), func(v topology.NodeID) (int, []float64) {
-		return blockBytes * (1 << uint(lowBit(relOf(cube, root, v), n))), nil
-	}, nil, 0)
-	return e.res
+	c := convergecastOn(s, binomialTree(cube, root), func(v topology.NodeID) int {
+		return blockBytes << lowBit(relOf(cube, root, v), n)
+	}, nil, 0, done)
+	return &c.dr.Result
 }
 
 // Reduce performs an all-to-one reduction: partial results of a fixed
@@ -303,83 +299,95 @@ func Reduce(p ncube.Params, cube topology.Cube, root topology.NodeID, bytes int,
 		panic("collective: negative reduce parameter")
 	}
 	return run(p, cube, func(s *ncube.Session) *Result {
-		e := newEngine(s, cube.Nodes(), nil)
-		e.convergecast(binomialTree(cube, root), fixedBytes(bytes), nil, tCompute)
-		return e.res
+		return &convergecastOn(s, binomialTree(cube, root), fixedBytes(bytes), nil, tCompute, nil).dr.Result
 	})
 }
 
-// fixedBytes is the outbound of a timing-only convergecast whose messages
-// all carry bytes bytes.
-func fixedBytes(bytes int) func(topology.NodeID) (int, []float64) {
-	return func(topology.NodeID) (int, []float64) { return bytes, nil }
+// fixedBytes sizes every message of a convergecast at bytes.
+func fixedBytes(bytes int) func(topology.NodeID) int {
+	return func(topology.NodeID) int { return bytes }
 }
 
-// exchange runs a pairwise-exchange schedule of rounds ≥ 1 rounds: in round k
-// node v sends outbound(v, k) — a byte count and an optional payload — to
-// peer(v, k), and enters round k+1 only after both issuing its round-k
-// send and receiving (and processing, TRecv + tCompute) its round-k
-// message. Receipts arriving out of round order are buffered and absorbed
-// in round order. absorb is nil for a timing-only schedule, which then
-// keeps no payload buffers. Absorbing is pure data movement, so a
-// data-carrying exchange schedules exactly the events of a timing-only one
-// with the same per-round byte counts.
-func (e *engine) exchange(rounds int, peer func(v topology.NodeID, k int) topology.NodeID,
-	outbound func(v topology.NodeID, k int) (int, []float64),
-	absorb func(v topology.NodeID, k int, data []float64), tCompute event.Time) {
-	nodes := e.net.Cube().Nodes()
-	got := matrix[bool](nodes, rounds)
-	var buf [][][]float64 // buf[v][k]: v's round-k payload
-	if absorb != nil {
-		buf = matrix[[]float64](nodes, rounds)
+// exchange is the step program of a pairwise-exchange schedule of
+// rounds >= 1 rounds: in round k node v sends bytes(v, k) to peer(v, k),
+// and enters round k+1 only after both issuing its round-k send and
+// receiving (and processing, TRecv + tCompute) its round-k message, which
+// from(v, k) sends. Receipts arriving out of round order wait, and are
+// absorbed in round order. Absorbing is pure data movement, so a
+// data-carrying exchange schedules exactly the events of a timing-only
+// one with the same per-round byte counts.
+type exchange struct {
+	engine
+	rounds int
+	steps  []ncube.Step // steps[v*rounds+k] is v's round-k message
+	round  []int        // round[v]: the rounds v has absorbed
+	from   func(v topology.NodeID, k int) topology.NodeID
+	// absorb folds v's round-k message, sent by u, into v; nil for a
+	// timing-only schedule.
+	absorb func(v, u topology.NodeID, k int)
+}
+
+// newExchange lays out an exchange on s; the caller sets absorb, if any,
+// and launches it.
+func newExchange(s *ncube.Session, rounds int, peer, from func(v topology.NodeID, k int) topology.NodeID,
+	bytes func(v topology.NodeID, k int) int, tCompute event.Time, done func(Result)) *exchange {
+	nodes := s.Network().Cube().Nodes()
+	x := &exchange{rounds: rounds, round: make([]int, nodes), from: from}
+	x.init(s, nodes, done)
+	x.steps = s.Steps(x, s.Params().TRecv+tCompute, nodes*rounds)
+	for i := range x.steps {
+		v, k := topology.NodeID(i/rounds), i%rounds
+		st := &x.steps[i]
+		st.From, st.To, st.Bytes, st.Tag = v, peer(v, k), bytes(v, k), int32(k)
 	}
-	round := make([]int, nodes) // next round not yet started
-	var start func(v topology.NodeID)
-	advance := func(v topology.NodeID) {
-		// Enter the next round once the current one is fully done;
-		// consume any receipts that arrived ahead of order.
-		for round[v] < rounds && got[v][round[v]] {
-			if k := round[v]; absorb != nil {
-				absorb(v, k, buf[v][k])
-				buf[v][k] = nil
-			}
-			round[v]++
-			if round[v] == rounds {
-				e.finished(v, e.q.Now())
-				return
-			}
-			start(v)
+	return x
+}
+
+// launch issues every node's round-0 send.
+func (x *exchange) launch() *DataResult {
+	for i := 0; i < len(x.steps); i += x.rounds {
+		x.steps[i].Issue()
+	}
+	return &x.dr
+}
+
+func (x *exchange) Delivered(_ *ncube.Step, d wormhole.Delivery) { x.delivered(d) }
+
+func (x *exchange) Received(st *ncube.Step) {
+	if int(st.Tag) == x.round[st.To] {
+		x.advance(st.To)
+	}
+}
+
+// advance absorbs v's received messages in round order, entering the
+// next round after each; v finishes when it has absorbed its last round.
+func (x *exchange) advance(v topology.NodeID) {
+	for x.round[v] < x.rounds {
+		k := x.round[v]
+		in := &x.steps[int(x.from(v, k))*x.rounds+k]
+		if !in.Done() {
+			return
 		}
-	}
-	receive := func(s sendSpec, d wormhole.Delivery) {
-		v, k, data := d.To, s.tag, s.data
-		e.q.After(e.p.TRecv+tCompute, func() {
-			got[v][k] = true
-			if absorb != nil {
-				buf[v][k] = data
-			}
-			if k == round[v] {
-				advance(v)
-			}
-		})
-	}
-	start = func(v topology.NodeID) {
-		k := round[v]
-		bytes, data := outbound(v, k)
-		e.sendSeq(v, []sendSpec{{to: peer(v, k), bytes: bytes, tag: k, data: data}}, receive)
-	}
-	for v := 0; v < nodes; v++ {
-		start(topology.NodeID(v))
+		if x.absorb != nil {
+			x.absorb(v, in.From, k)
+		}
+		x.round[v]++
+		if x.round[v] == x.rounds {
+			x.finished(v, x.s.Now())
+			return
+		}
+		x.steps[int(v)*x.rounds+x.round[v]].Issue()
 	}
 }
 
 // dimensionExchange launches a timing-only exchange on s whose round k
-// crosses dimension k, one round per dimension.
-func dimensionExchange(s *ncube.Session, outbound func(v topology.NodeID, k int) (int, []float64), tCompute event.Time, done func(Result)) *Result {
+// crosses dimension k, one round per dimension, with bytes(k)-byte
+// messages.
+func dimensionExchange(s *ncube.Session, bytes func(k int) int, tCompute event.Time, done func(Result)) *Result {
 	cube := s.Network().Cube()
-	e := newEngine(s, cube.Nodes(), done)
-	e.exchange(cube.Dim(), cube.Neighbor, outbound, nil, tCompute)
-	return e.res
+	x := newExchange(s, cube.Dim(), cube.Neighbor, cube.Neighbor,
+		func(_ topology.NodeID, k int) int { return bytes(k) }, tCompute, done)
+	return &x.launch().Result
 }
 
 // Barrier runs the dissemination barrier: in round k every node notifies
@@ -389,7 +397,7 @@ func dimensionExchange(s *ncube.Session, outbound func(v topology.NodeID, k int)
 func Barrier(p ncube.Params, cube topology.Cube) Result {
 	const noteBytes = 8
 	return run(p, cube, func(s *ncube.Session) *Result {
-		return dimensionExchange(s, func(topology.NodeID, int) (int, []float64) { return noteBytes, nil }, 0, nil)
+		return dimensionExchange(s, func(int) int { return noteBytes }, 0, nil)
 	})
 }
 
@@ -407,9 +415,7 @@ func AllGatherOn(s *ncube.Session, blockBytes int, done func(Result)) *Result {
 	if blockBytes < 0 {
 		panic("collective: negative block size")
 	}
-	return dimensionExchange(s, func(_ topology.NodeID, d int) (int, []float64) {
-		return blockBytes * (1 << uint(d)), nil
-	}, 0, done)
+	return dimensionExchange(s, func(d int) int { return blockBytes * (1 << uint(d)) }, 0, done)
 }
 
 // AllReduce combines a fixed-size vector across all nodes and leaves the
@@ -422,6 +428,6 @@ func AllReduce(p ncube.Params, cube topology.Cube, bytes int, tCompute event.Tim
 		panic("collective: negative allreduce parameter")
 	}
 	return run(p, cube, func(s *ncube.Session) *Result {
-		return dimensionExchange(s, func(topology.NodeID, int) (int, []float64) { return bytes, nil }, tCompute, nil)
+		return dimensionExchange(s, func(int) int { return bytes }, tCompute, nil)
 	})
 }

@@ -1,22 +1,24 @@
 // Data-carrying reduction collectives: the schedules here move real
 // per-node vectors through the simulated network, not just byte counts.
-// Payloads ride in the data field of sendSpec — the wormhole model only
-// ever sees message sizes — so a data-carrying execution produces exactly
-// the event schedule its timing-only counterpart would, while the final
-// per-node vectors expose any block delivered to the wrong node at the
-// wrong round. Every standalone entry point verifies its result against
-// the closed-form expectation element by element before returning;
-// session launches leave verification to the caller, who holds the
-// inputs.
+// A message carries only its size — the wormhole model only ever sees
+// message sizes — and its receiver reads the payload straight from the
+// sender's vector when it absorbs the message, so a data-carrying
+// execution produces exactly the event schedule its timing-only
+// counterpart would, while the final per-node vectors expose any block
+// delivered to the wrong node at the wrong round. Every standalone entry
+// point verifies its result against the closed-form expectation element
+// by element before returning; session launches leave verification to
+// the caller, who holds the inputs, and LaunchVerified is the launch that
+// verifies itself.
 //
 // Ownership: a session launch (the ...On functions) takes ownership of
 // its input vectors and runs in place on them — DataResult.Data is those
-// same vectors, rewritten — and every message payload is a view of its
-// sender's buffer, not a copy (see each schedule for why the viewed range
-// is not written again before the receiver has absorbed it). The
-// standalone entry points validate the caller's input, copy it once into
-// one flat backing, and never modify it. They validate before copying
-// because the copy takes its row length from the first row.
+// same vectors, rewritten. A payload is a range of its sender's vector,
+// read when the receiver absorbs it, not a copy: each schedule says why
+// the range is not written again before then. The standalone entry points
+// validate the caller's input, copy it once into one flat backing, and
+// never modify it. They validate before copying because the copy takes
+// its row length from the first row.
 //
 // Arithmetic note: verification demands exact float64 equality, which
 // holds regardless of combine order whenever the inputs are integer-valued
@@ -53,9 +55,15 @@ type DataResult struct {
 // combine order. The rows share one backing, each capacity-clipped so an
 // append to one cannot overwrite the next.
 func RandomData(seed int64, nodes, elems int) [][]float64 {
+	return randomInto(make([]float64, nodes*elems), seed, nodes, elems)
+}
+
+// randomInto draws RandomData(seed, nodes, elems) into backing, which
+// holds at least nodes*elems elements.
+func randomInto(backing []float64, seed int64, nodes, elems int) [][]float64 {
 	rng := seeded.Borrow(seed)
 	defer seeded.Return(rng)
-	out := matrix[float64](nodes, elems)
+	out := rowsOf(backing, nodes, elems)
 	for _, row := range out {
 		fillRandom(rng, row)
 	}
@@ -71,11 +79,10 @@ func fillRandom(rng *rand.Rand, row []float64) {
 	}
 }
 
-// matrix returns a rows×cols matrix of zero values on one backing, each
-// row capacity-clipped.
-func matrix[T any](rows, cols int) [][]T {
-	backing := make([]T, rows*cols)
-	out := make([][]T, rows)
+// rowsOf cuts rows consecutive capacity-clipped rows of cols elements
+// from backing.
+func rowsOf(backing []float64, rows, cols int) [][]float64 {
+	out := make([][]float64, rows)
 	for r := range out {
 		out[r] = backing[r*cols : (r+1)*cols : (r+1)*cols]
 	}
@@ -85,7 +92,7 @@ func matrix[T any](rows, cols int) [][]T {
 // cloneRows is the one copy a standalone entry point makes of its
 // (already validated, uniform-length) input before running in place.
 func cloneRows(in [][]float64) [][]float64 {
-	out := matrix[float64](len(in), len(in[0]))
+	out := rowsOf(make([]float64, len(in)*len(in[0])), len(in), len(in[0]))
 	for v := range in {
 		copy(out[v], in[v])
 	}
@@ -133,9 +140,10 @@ func uniformLen(cube topology.Cube, in [][]float64) int {
 	return l
 }
 
-// columnSum is the elementwise sum over all nodes' vectors.
-func columnSum(in [][]float64) []float64 {
-	sum := append([]float64(nil), in[0]...)
+// columnSum is the elementwise sum over all nodes' vectors, written into
+// sum (len(in[0]) elements).
+func columnSum(sum []float64, in [][]float64) []float64 {
+	copy(sum, in[0])
 	for v := 1; v < len(in); v++ {
 		for i, x := range in[v] {
 			sum[i] += x
@@ -149,8 +157,13 @@ func columnSum(in [][]float64) []float64 {
 // read-only column sum, so the expectation costs one vector, not N; it
 // does not alias in, so it may be built before a launch consumes in.
 func ExpectedAllReduce(in [][]float64) [][]float64 {
-	sum := columnSum(in)
-	out := make([][]float64, len(in))
+	return allReduceRows(columnSum(make([]float64, len(in[0])), in), len(in))
+}
+
+// allReduceRows is the allreduce expectation over a column sum: nodes
+// rows, each the sum itself.
+func allReduceRows(sum []float64, nodes int) [][]float64 {
+	out := make([][]float64, nodes)
 	for v := range out {
 		out[v] = sum
 	}
@@ -161,13 +174,13 @@ func ExpectedAllReduce(in [][]float64) [][]float64 {
 // node v ends with block v of the elementwise sum. The rows are read-only
 // views of one column sum.
 func ExpectedReduceScatter(in [][]float64) [][]float64 {
-	sum := columnSum(in)
-	b := len(sum) / len(in)
-	out := make([][]float64, len(in))
-	for v := range out {
-		out[v] = sum[v*b : (v+1)*b : (v+1)*b]
-	}
-	return out
+	return reduceScatterRows(columnSum(make([]float64, len(in[0])), in), len(in))
+}
+
+// reduceScatterRows is the reduce-scatter expectation over a column sum:
+// row v is block v of the sum.
+func reduceScatterRows(sum []float64, nodes int) [][]float64 {
+	return rowsOf(sum, nodes, len(sum)/nodes)
 }
 
 // VerifyData compares delivered per-node vectors against an expectation
@@ -205,16 +218,16 @@ func VerifyAllToAll(got, in [][]float64) error {
 	return nil
 }
 
-// VerifyAllToAllSeeded is VerifyAllToAll against the input
-// RandomData(seed, nodes, elems), re-streamed one row at a time instead
-// of kept — for callers whose launch consumed that input in place.
-func VerifyAllToAllSeeded(got [][]float64, seed int64, nodes, elems int) error {
-	if err := checkShape(got, nodes, elems); err != nil {
+// verifyAllToAllSeeded is VerifyAllToAll against the input
+// RandomData(seed, nodes, len(row)), re-streamed one row at a time into
+// row instead of kept — for callers whose launch consumed that input in
+// place.
+func verifyAllToAllSeeded(got [][]float64, seed int64, nodes int, row []float64) error {
+	if err := checkShape(got, nodes, len(row)); err != nil {
 		return err
 	}
 	rng := seeded.Borrow(seed)
 	defer seeded.Return(rng)
-	row := make([]float64, elems)
 	for s := 0; s < nodes; s++ {
 		fillRandom(rng, row)
 		if err := checkSourceRow(got, s, row); err != nil {
@@ -251,27 +264,6 @@ func checkSourceRow(got [][]float64, s int, row []float64) error {
 	return nil
 }
 
-// attachData reroutes the engine's result into a DataResult and installs a
-// completion hook that captures the final per-node vectors at the instant
-// the last node finishes — before the launch's done hook observes the
-// result, so a traffic-engine callback can already read Data.
-func attachData(e *engine, capture func() [][]float64) *DataResult {
-	dr := &DataResult{Result: *e.res}
-	e.res = &dr.Result
-	user := e.onDone
-	e.onDone = func(r Result) {
-		dr.Data = capture()
-		if user != nil {
-			user(r)
-		}
-	}
-	return dr
-}
-
-// elems is a data-carrying message as a skeleton's outbound returns it:
-// the payload's wire size, and the payload.
-func elems(data []float64) (int, []float64) { return len(data) * ElemBytes, data }
-
 // ownedRange returns the contiguous block range [lo, hi) whose indices
 // agree with v on every dimension >= d — the blocks v is responsible for
 // after the recursive-halving rounds above d have run.
@@ -289,29 +281,17 @@ func ownedRange(v topology.NodeID, d int) (lo, hi int) {
 // The doubling rounds then cross dimensions 0..n-1, copying the
 // fully-reduced ranges back out until every node holds the whole sum.
 //
-// Runs in place on work. Both kinds of payload are views of the sender's
-// vector. A halving payload is the partner's half, which the sender next
-// writes only when it absorbs the doubling round on the same dimension —
-// a message the partner sends after absorbing that halving payload; the
-// sender's halving and lower-dimension doubling writes all stay inside its
-// own half. A doubling payload is the sender's fully reduced range, which
-// its remaining (higher-dimension) doubling rounds never touch.
+// Runs in place on work. A halving payload is the sender's copy of its
+// partner's half, which the sender next writes only when it absorbs the
+// doubling round on the same dimension — a message the partner sends
+// after absorbing that halving payload; the sender's halving and
+// lower-dimension doubling writes all stay inside its own half. A
+// doubling payload is the sender's fully reduced range, which its
+// remaining (higher-dimension) doubling rounds never touch.
 func halvingDoublingOn(s *ncube.Session, work [][]float64, tCompute event.Time, scatterOnly bool, done func(Result)) *DataResult {
 	cube := s.Network().Cube()
 	b := blockOf(cube, work)
 	n := cube.Dim()
-	e := newEngine(s, cube.Nodes(), done)
-	capture := func() [][]float64 {
-		if !scatterOnly {
-			return work
-		}
-		out := make([][]float64, len(work))
-		for v := range work {
-			out[v] = work[v][v*b : (v+1)*b : (v+1)*b]
-		}
-		return out
-	}
-	dr := attachData(e, capture)
 	rounds := 2 * n
 	if scatterOnly {
 		rounds = n
@@ -323,31 +303,30 @@ func halvingDoublingOn(s *ncube.Session, work [][]float64, tCompute event.Time, 
 		return k - n
 	}
 	peer := func(v topology.NodeID, k int) topology.NodeID { return cube.Neighbor(v, dimOf(k)) }
-	outbound := func(v topology.NodeID, k int) (int, []float64) {
-		d := dimOf(k)
-		var lo, hi int
-		if k < n {
-			lo, hi = ownedRange(cube.Neighbor(v, d), d) // partner's half
-		} else {
-			lo, hi = ownedRange(v, d) // v's fully-reduced range
-		}
-		return elems(work[v][lo*b : hi*b])
-	}
-	absorb := func(v topology.NodeID, k int, data []float64) {
+	x := newExchange(s, rounds, peer, peer, func(_ topology.NodeID, k int) int {
+		return b << uint(dimOf(k)) * ElemBytes
+	}, tCompute, done)
+	x.absorb = func(v, u topology.NodeID, k int) {
 		d := dimOf(k)
 		if k < n {
-			lo, _ := ownedRange(v, d)
-			seg := work[v][lo*b : lo*b+len(data)]
-			for i, x := range data {
-				seg[i] += x
+			lo, hi := ownedRange(v, d) // v's half, as u held it
+			seg := work[v][lo*b : hi*b]
+			for i, y := range work[u][lo*b : hi*b] {
+				seg[i] += y
 			}
-		} else {
-			lo, _ := ownedRange(cube.Neighbor(v, d), d)
-			copy(work[v][lo*b:lo*b+len(data)], data)
+			return
+		}
+		lo, hi := ownedRange(u, d) // u's fully reduced range
+		copy(work[v][lo*b:hi*b], work[u][lo*b:hi*b])
+	}
+	x.dr.Data = work
+	if scatterOnly {
+		x.dr.Data = make([][]float64, len(work))
+		for v := range work {
+			x.dr.Data[v] = work[v][v*b : (v+1)*b : (v+1)*b]
 		}
 	}
-	e.exchange(rounds, peer, outbound, absorb, tCompute)
-	return dr
+	return x.launch()
 }
 
 // ReduceScatter reduces the nodes' equal-length vectors elementwise and
@@ -365,7 +344,7 @@ func ReduceScatter(p ncube.Params, cube topology.Cube, in [][]float64, tCompute 
 // current time, taking ownership of in (it runs in place; Data's rows are
 // views of in). The caller drives the calendar and verifies Data against
 // an ExpectedReduceScatter built before the launch; done (if non-nil)
-// fires when the last node finishes, after Data is set.
+// fires when the last node finishes.
 func ReduceScatterOn(s *ncube.Session, in [][]float64, tCompute event.Time, done func(Result)) *DataResult {
 	if tCompute < 0 {
 		panic("collective: negative reduce-scatter compute time")
@@ -418,10 +397,11 @@ func AllReduceRing(p ncube.Params, cube topology.Cube, in [][]float64, tCompute 
 // as soon as it has absorbed step s from its predecessor, so the pipeline
 // keeps every ring link busy.
 //
-// Each payload is a view of the shipped chunk. A node next writes the
-// chunk it shipped at step s when it absorbs step s+N-1, a message that
-// leaves its predecessor only after the receiver of step s absorbed it and
-// the chain of N-1 hand-offs it started came back around the ring.
+// Each payload is the shipped chunk of the sender's vector. A node next
+// writes the chunk it shipped at step s when it absorbs step s+N-1, a
+// message that leaves its predecessor only after the receiver of step s
+// absorbed it and the chain of N-1 hand-offs it started came back around
+// the ring.
 func AllReduceRingOn(s *ncube.Session, in [][]float64, tCompute event.Time, done func(Result)) *DataResult {
 	if tCompute < 0 {
 		panic("collective: negative allreduce compute time")
@@ -436,8 +416,6 @@ func AllReduceRingOn(s *ncube.Session, in [][]float64, tCompute event.Time, done
 		ring[i] = g
 		pos[g] = i
 	}
-	e := newEngine(s, nodes, done)
-	dr := attachData(e, func() [][]float64 { return in })
 	mod := func(x int) int { return ((x % nodes) + nodes) % nodes }
 	// chunkSent is the chunk ring position p ships at step s.
 	chunkSent := func(p, s int) int {
@@ -446,41 +424,38 @@ func AllReduceRingOn(s *ncube.Session, in [][]float64, tCompute event.Time, done
 		}
 		return mod(p + 1 - (s - (nodes - 1)))
 	}
-	peer := func(v topology.NodeID, _ int) topology.NodeID { return ring[mod(pos[v]+1)] }
-	outbound := func(v topology.NodeID, s int) (int, []float64) {
-		c := chunkSent(pos[v], s)
-		return elems(in[v][c*b : (c+1)*b])
-	}
-	absorb := func(v topology.NodeID, s int, data []float64) {
-		c := chunkSent(mod(pos[v]-1), s) // what the predecessor shipped
-		seg := in[v][c*b : (c+1)*b]
+	next := func(v topology.NodeID, _ int) topology.NodeID { return ring[mod(pos[v]+1)] }
+	prev := func(v topology.NodeID, _ int) topology.NodeID { return ring[mod(pos[v]-1)] }
+	x := newExchange(s, 2*(nodes-1), next, prev, func(topology.NodeID, int) int { return b * ElemBytes }, tCompute, done)
+	x.absorb = func(v, u topology.NodeID, s int) {
+		c := chunkSent(pos[u], s)
+		seg, data := in[v][c*b:(c+1)*b], in[u][c*b:(c+1)*b]
 		if s < nodes-1 {
-			for i, x := range data {
-				seg[i] += x
+			for i, y := range data {
+				seg[i] += y
 			}
 		} else {
 			copy(seg, data)
 		}
 	}
-	e.exchange(2*(nodes-1), peer, outbound, absorb, tCompute)
-	return dr
+	x.dr.Data = in
+	return x.launch()
 }
 
 // a2aRuns names the blocks node v exchanges across dimension k of the
-// pairwise-exchange all-to-all: f(slot, i) for each of the 2^(n-k-1) runs
-// of 2^k consecutive blocks, slot being the run's first block in v's
-// vector and i its index among the payload's runs. The slot layout is
-// closed-form: before round k, slot j of v holds the block whose
-// destination agrees with j on bits >= k and whose source agrees with j
-// on bits < k (every other bit of both is v's own). So the outgoing blocks
-// are the slots whose bit k differs from v's, and the partner's blocks,
-// packed in the same run order, land in exactly those slots. Kept blocks
-// never move: the layout starts as the input (slot = destination) and
-// ends as the result (slot = source).
-func a2aRuns(n int, v topology.NodeID, k int, f func(slot, i int)) {
+// pairwise-exchange all-to-all: f(slot) for each of the 2^(n-k-1) runs of
+// 2^k consecutive blocks, slot being the run's first block in v's vector.
+// The slot layout is closed-form: before round k, slot j of v holds the
+// block whose destination agrees with j on bits >= k and whose source
+// agrees with j on bits < k (every other bit of both is v's own). So the
+// outgoing blocks are the slots whose bit k differs from v's, and the
+// partner's blocks, in the same run order, belong in exactly those slots.
+// Kept blocks never move: the layout starts as the input (slot =
+// destination) and ends as the result (slot = source).
+func a2aRuns(n int, v topology.NodeID, k int, f func(slot int)) {
 	side := (int(v) >> uint(k) & 1) ^ 1
 	for h := 0; h < 1<<uint(n-k-1); h++ {
-		f(h<<uint(k+1)|side<<uint(k), h)
+		f(h<<uint(k+1) | side<<uint(k))
 	}
 }
 
@@ -496,7 +471,7 @@ func AllToAll(p ncube.Params, cube topology.Cube, in [][]float64) (DataResult, e
 
 // AllToAllOn launches AllToAll's schedule on s, taking ownership of in
 // (Data is in, permuted in place); the caller drives the calendar and
-// verifies Data with VerifyAllToAll or VerifyAllToAllSeeded.
+// verifies Data with VerifyAllToAll.
 //
 // The pairwise-exchange (XOR) all-to-all runs n rounds, one per dimension
 // ascending, each node exchanging the N/2 blocks whose destination lies
@@ -504,37 +479,39 @@ func AllToAll(p ncube.Params, cube topology.Cube, in [][]float64) (DataResult, e
 // destination bits are satisfied dimension by dimension; after round n-1
 // node v holds exactly the blocks addressed to it, one from every source.
 //
-// It runs in place on in, with the slot layout of a2aRuns. A round's
-// outgoing blocks are not contiguous and their slots are refilled as soon
-// as the partner's payload is absorbed, so each node packs them into a
-// send buffer it owns: N/2 blocks, allocated once per node. The buffer
-// travels with the message, and the receiver adopts its partner's buffer
-// as its own once it has absorbed it, so a buffer is never packed while
-// any receiver still has to read it.
+// It runs in place on in, with the slot layout of a2aRuns, and swaps
+// instead of copying: when the first node of a pair (v, v^1<<k) absorbs
+// round k, it swaps v's outgoing runs with the partner's, run for run.
+// Both sets are untouched since each node entered round k. A node's
+// vector changes only through the swaps of its own rounds, and a round-j
+// swap happens at the first absorb of round j in the pair, after both
+// nodes sent their round-j messages: both have sent round k, so their
+// earlier swaps are done, and neither has absorbed round k, so neither
+// has sent a later round. The second absorb of the pair finds the
+// partner's absorbed-round counter past k and does nothing.
 func AllToAllOn(s *ncube.Session, in [][]float64, done func(Result)) *DataResult {
 	cube := s.Network().Cube()
 	b := blockOf(cube, in)
 	n := cube.Dim()
-	scratch := matrix[float64](cube.Nodes(), cube.Nodes()/2*b) // each node's send buffer
-	e := newEngine(s, cube.Nodes(), done)
-	dr := attachData(e, func() [][]float64 { return in })
-	outbound := func(v topology.NodeID, k int) (int, []float64) {
-		payload, run := scratch[v], b<<uint(k)
-		scratch[v] = nil
-		a2aRuns(n, v, k, func(slot, i int) {
-			copy(payload[i*run:(i+1)*run], in[v][slot*b:slot*b+run])
-		})
-		return elems(payload)
-	}
-	absorb := func(v topology.NodeID, k int, data []float64) {
+	x := newExchange(s, n, cube.Neighbor, cube.Neighbor, func(topology.NodeID, int) int {
+		return cube.Nodes() / 2 * b * ElemBytes
+	}, 0, done)
+	x.absorb = func(v, u topology.NodeID, k int) {
+		if x.round[u] > k {
+			return // u absorbed round k first and swapped for both
+		}
 		run := b << uint(k)
-		a2aRuns(n, v, k, func(slot, i int) {
-			copy(in[v][slot*b:slot*b+run], data[i*run:(i+1)*run])
+		a2aRuns(n, v, k, func(slot int) {
+			// u's matching outgoing run sits on the other side of bit k.
+			us := slot ^ 1<<uint(k)
+			vr, ur := in[v][slot*b:slot*b+run], in[u][us*b:us*b+run]
+			for i := range vr {
+				vr[i], ur[i] = ur[i], vr[i]
+			}
 		})
-		scratch[v] = data
 	}
-	e.exchange(n, cube.Neighbor, outbound, absorb, 0)
-	return dr
+	x.dr.Data = in
+	return x.launch()
 }
 
 // ReduceData is the payload-carrying Reduce: the root ends with the
@@ -544,7 +521,7 @@ func AllToAllOn(s *ncube.Session, in [][]float64, done func(Result)) *DataResult
 func ReduceData(p ncube.Params, cube topology.Cube, root topology.NodeID, in [][]float64, tCompute event.Time) (DataResult, error) {
 	uniformLen(cube, in)
 	dr := run(p, cube, func(s *ncube.Session) *DataResult { return ReduceDataOn(s, root, cloneRows(in), tCompute, nil) })
-	return dr, VerifyData([][]float64{dr.Data[root]}, [][]float64{columnSum(in)})
+	return dr, VerifyData([][]float64{dr.Data[root]}, [][]float64{columnSum(make([]float64, len(in[0])), in)})
 }
 
 // ReduceDataOn launches ReduceData's schedule on s, taking ownership of in
@@ -554,25 +531,76 @@ func ReduceData(p ncube.Params, cube topology.Cube, root topology.NodeID, in [][
 // Partial vectors converge on root up Reduce's binomial tree, with
 // Reduce's exact schedule and message sizes: each hop ships the sender's
 // accumulated vector, and each receipt charges TRecv + tCompute before
-// folding into the local accumulator. Each payload is a view of the
-// sender's accumulator, which is final when sent: every child has folded
-// in, and a node sends once.
+// folding into the local accumulator. Each payload is the sender's
+// accumulator, which is final when sent: every child has folded in, and a
+// node sends once.
 func ReduceDataOn(s *ncube.Session, root topology.NodeID, in [][]float64, tCompute event.Time, done func(Result)) *DataResult {
 	cube := s.Network().Cube()
 	cube.MustContain(root)
 	if tCompute < 0 {
 		panic("collective: negative reduce compute time")
 	}
-	uniformLen(cube, in)
-	e := newEngine(s, cube.Nodes(), done)
-	dr := attachData(e, func() [][]float64 { return in })
-	e.convergecast(binomialTree(cube, root), func(v topology.NodeID) (int, []float64) {
-		return elems(in[v])
-	}, func(v topology.NodeID, data []float64) {
+	l := uniformLen(cube, in)
+	c := convergecastOn(s, binomialTree(cube, root), fixedBytes(l*ElemBytes), func(v, u topology.NodeID) {
 		seg := in[v]
-		for i, x := range data {
-			seg[i] += x
+		for i, y := range in[u] {
+			seg[i] += y
 		}
-	}, tCompute)
-	return dr
+	}, tCompute, done)
+	c.dr.Data = in
+	return &c.dr
+}
+
+// DataOp names a data collective LaunchVerified runs.
+type DataOp int
+
+const (
+	OpReduceScatter DataOp = iota
+	OpAllReduceHD
+	OpAllReduceRing
+	OpAllToAll
+)
+
+// LaunchVerified launches op with zero compute time on s at the
+// calendar's current time, over the input RandomData(seed, N,
+// N*blockElems) drawn into the session's payload block (see
+// ncube.Session.Payload), together with the scratch vector verification
+// needs. At the instant the collective completes it verifies the
+// delivered vectors element by element — against a column sum taken
+// before the launch for the reductions, against the input re-streamed
+// from its seed for the all-to-all — hands the block back, and calls done
+// with the result and the verification error (nil when every element
+// matched). The delivered vectors are not kept past verification.
+func LaunchVerified(s *ncube.Session, op DataOp, seed int64, blockElems int, done func(Result, error)) {
+	nodes := s.Network().Cube().Nodes()
+	elems := nodes * blockElems
+	block := s.Payload((nodes + 1) * elems)
+	in, scratch := randomInto(block, seed, nodes, elems), block[nodes*elems:]
+	var want [][]float64
+	var dr *DataResult
+	verify := func(r Result) {
+		var err error
+		if want != nil {
+			err = VerifyData(dr.Data, want)
+		} else {
+			err = verifyAllToAllSeeded(dr.Data, seed, nodes, scratch)
+		}
+		s.ReturnPayload(block)
+		done(r, err)
+	}
+	switch op {
+	case OpReduceScatter:
+		want = reduceScatterRows(columnSum(scratch, in), nodes)
+		dr = ReduceScatterOn(s, in, 0, verify)
+	case OpAllReduceHD:
+		want = allReduceRows(columnSum(scratch, in), nodes)
+		dr = AllReduceHDOn(s, in, 0, verify)
+	case OpAllReduceRing:
+		want = allReduceRows(columnSum(scratch, in), nodes)
+		dr = AllReduceRingOn(s, in, 0, verify)
+	case OpAllToAll:
+		dr = AllToAllOn(s, in, verify)
+	default:
+		panic(fmt.Sprintf("collective: unknown data op %d", op))
+	}
 }

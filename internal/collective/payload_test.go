@@ -187,7 +187,7 @@ func TestRandomDataRowsClipped(t *testing.T) {
 	}
 }
 
-// VerifyAllToAllSeeded re-streams RandomData instead of keeping it, and
+// verifyAllToAllSeeded re-streams RandomData instead of keeping it, and
 // must judge exactly as VerifyAllToAll against the materialized input.
 func TestVerifyAllToAllSeeded(t *testing.T) {
 	c := cube(3)
@@ -197,16 +197,16 @@ func TestVerifyAllToAllSeeded(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := VerifyAllToAllSeeded(dr.Data, 77, c.Nodes(), c.Nodes()*2); err != nil {
+	if err := verifyAllToAllSeeded(dr.Data, 77, c.Nodes(), make([]float64, c.Nodes()*2)); err != nil {
 		t.Fatalf("seeded verify: %v", err)
 	}
 	dr.Data[5][3]++
 	want := VerifyAllToAll(dr.Data, in)
-	got := VerifyAllToAllSeeded(dr.Data, 77, c.Nodes(), c.Nodes()*2)
+	got := verifyAllToAllSeeded(dr.Data, 77, c.Nodes(), make([]float64, c.Nodes()*2))
 	if want == nil || got == nil || got.Error() != want.Error() {
 		t.Fatalf("corrupted result: seeded %v, materialized %v", got, want)
 	}
-	if err := VerifyAllToAllSeeded(dr.Data[:7], 77, c.Nodes(), c.Nodes()*2); err == nil {
+	if err := verifyAllToAllSeeded(dr.Data[:7], 77, c.Nodes(), make([]float64, c.Nodes()*2)); err == nil {
 		t.Fatal("short result accepted")
 	}
 }

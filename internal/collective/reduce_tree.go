@@ -24,9 +24,7 @@ func ReduceTree(p ncube.Params, tr *core.Tree, bytes int, tCompute event.Time) R
 	}
 	up := reverseTree(tr)
 	return run(p, tr.Cube, func(s *ncube.Session) *Result {
-		e := newEngine(s, len(up.order), nil)
-		e.convergecast(up, fixedBytes(bytes), nil, tCompute)
-		return e.res
+		return &convergecastOn(s, up, fixedBytes(bytes), nil, tCompute, nil).dr.Result
 	})
 }
 

@@ -19,6 +19,7 @@ import (
 	"hypercube/internal/event"
 	"hypercube/internal/ncube"
 	"hypercube/internal/topology"
+	"hypercube/internal/vc"
 )
 
 var update = flag.Bool("update", false, "rewrite testdata/wall.golden from the current program")
@@ -31,7 +32,10 @@ const wallGolden = "testdata/wall.golden"
 // all twelve entry points over dims 1..6 × both resolutions × both port
 // models × lanes {1, 4} × roots {0, N-1, N/3}, at Workers 1, 2 and 8,
 // which must agree. The shared cases run every session launch at 30us
-// amid two overlapping multicasts on one session. Regenerate with:
+// amid two overlapping multicasts on one session. The concurrent cases
+// overlap two all-to-alls of different block sizes and a halving+doubling
+// allreduce on one session, so every in-place swap runs while other
+// launches move data. Regenerate with:
 // go test ./internal/collective -run TestCollectiveWall -update
 func TestCollectiveWall(t *testing.T) {
 	got := map[string]string{}
@@ -50,6 +54,7 @@ func TestCollectiveWall(t *testing.T) {
 		wallStandalone(t, workers, record)
 	}
 	wallShared(t, record)
+	wallConcurrent(t, record)
 	if *update {
 		var b strings.Builder
 		for _, name := range order {
@@ -218,6 +223,56 @@ func wallShared(t *testing.T, record func(name, digest string)) {
 				record(name, wallDigest(*res, rows, true))
 				s.Release()
 			}
+		}
+	}
+}
+
+// wallConcurrent overlaps three verified launches on one session. The
+// first borrows the session's payload block and holds it until its
+// verification, so the other two, launched while it runs, draw their
+// inputs on the heap.
+func wallConcurrent(t *testing.T, record func(name, digest string)) {
+	type port struct {
+		pm    core.PortModel
+		lanes int
+	}
+	launches := []struct {
+		name       string
+		op         DataOp
+		blockElems int
+	}{
+		{"alltoall-b2", OpAllToAll, 2},
+		{"alltoall-b3", OpAllToAll, 3},
+		{"allreduce-hd", OpAllReduceHD, 2},
+	}
+	for n := 2; n <= 5; n++ {
+		c := topology.New(n, topology.HighToLow)
+		for _, pt := range []port{{core.AllPort, 1}, {core.OnePort, 1}, {core.AllPort, 4}} {
+			p := params(pt.pm)
+			p.Lanes, p.VCPolicy = pt.lanes, vc.RoundRobin
+			prefix := fmt.Sprintf("concurrent/n=%d/%v/lanes=%d", n, pt.pm, pt.lanes)
+			s := ncube.NewSession(p, c, ncube.Instrumentation{})
+			var results [3]*Result
+			for i, l := range launches {
+				s.At(event.Time(10*i)*event.Microsecond, func() {
+					LaunchVerified(s, l.op, int64(10*n+1+i), l.blockElems, func(r Result, err error) {
+						if err != nil {
+							t.Errorf("%s/%s: %v", prefix, l.name, err)
+						}
+						results[i] = &r
+					})
+				})
+			}
+			if err := s.Run(0, 0); err != nil {
+				t.Fatalf("%s: %v", prefix, err)
+			}
+			for i, l := range launches {
+				if results[i] == nil {
+					t.Fatalf("%s/%s: never completed", prefix, l.name)
+				}
+				record(prefix+"/"+l.name, wallDigest(*results[i], nil, true))
+			}
+			s.Release()
 		}
 	}
 }

@@ -203,6 +203,10 @@ func (q *Queue) Now() Time { return q.now }
 // Len returns the number of pending events.
 func (q *Queue) Len() int { return len(q.h) }
 
+// Cap returns how many events the calendar holds before it must grow;
+// Reset keeps it.
+func (q *Queue) Cap() int { return cap(q.ops) }
+
 // schedule validates t and inserts one calendar entry.
 func (q *Queue) schedule(t Time, op Op) {
 	if t < q.now {

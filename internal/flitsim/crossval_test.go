@@ -47,7 +47,7 @@ func TestCrossUncontendedUnicasts(t *testing.T) {
 		q := &event.Queue{}
 		wnet := wormhole.New(q, cube, wormhole.Config{THop: cyc, TByte: cyc})
 		var wArr event.Time
-		wnet.Send(from, to, flits, func(d wormhole.Delivery) { wArr = d.Arrived })
+		wnet.Send(from, to, flits, wormhole.DeliverFunc(func(d wormhole.Delivery) { wArr = d.Arrived }))
 		q.MustRun(0, 0)
 
 		fnet := New(cube, Config{BufFlits: 2})
@@ -83,8 +83,8 @@ func TestCrossContendedPairsBounded(t *testing.T) {
 		wnet := wormhole.New(q, cube, wormhole.Config{THop: cyc, TByte: cyc})
 		arr := map[topology.NodeID]event.Time{}
 		rec := func(d wormhole.Delivery) { arr[d.To] = d.Arrived }
-		wnet.Send(src, a, flits, rec)
-		wnet.Send(src, b, flits, rec)
+		wnet.Send(src, a, flits, wormhole.DeliverFunc(rec))
+		wnet.Send(src, b, flits, wormhole.DeliverFunc(rec))
 		q.MustRun(0, 0)
 
 		fnet := New(cube, Config{BufFlits: 2})

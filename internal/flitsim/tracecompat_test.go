@@ -54,7 +54,7 @@ func TestTraceShapeEquivalentContentionFree(t *testing.T) {
 			var wrec trace.Recorder
 			wnet.SetTracer(&wrec)
 			for _, s := range sends {
-				wnet.Send(s.From, s.To, 64, func(wormhole.Delivery) {})
+				wnet.Send(s.From, s.To, 64, wormhole.DeliverFunc(func(wormhole.Delivery) {}))
 			}
 			q.MustRun(0, 0)
 			wrec.Finish(q.Now())
@@ -148,7 +148,7 @@ func TestTraceShapeEquivalentMultiLane(t *testing.T) {
 				var wrec trace.Recorder
 				wnet.SetTracer(&wrec)
 				for _, s := range sends {
-					wnet.Send(s.From, s.To, 64, func(wormhole.Delivery) {})
+					wnet.Send(s.From, s.To, 64, wormhole.DeliverFunc(func(wormhole.Delivery) {}))
 				}
 				q.MustRun(0, 0)
 				wrec.Finish(q.Now())

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"hypercube/internal/core"
+	"hypercube/internal/faults"
 	"hypercube/internal/topology"
 )
 
@@ -63,5 +64,40 @@ func TestInjectFaultTolerantAllocs(t *testing.T) {
 	const max = 273 // an unused rand.NewSource adds 2
 	if got > max {
 		t.Errorf("session-injected FT multicast: %v allocs/run, want <= %v", got, max)
+	}
+}
+
+// TestOnePortAllocs pins that a one-port multicast allocates no more than
+// an all-port one on a warmed session, with and without a fault model
+// installed: the one-port model waits for each send's fate before issuing
+// the next, and the op takes that fate — delivery or loss — as the send's
+// own receiver instead of a closure per send.
+func TestOnePortAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are not deterministic under -race")
+	}
+	cube := topology.New(6, topology.HighToLow)
+	tr := core.Build(cube, core.WSort, 0, randomDests(rand.New(rand.NewSource(1993)), 6, 0, 32))
+	inj := faults.New(faults.Plan{}) // installed, but never fails anything
+	allocs := func(port core.PortModel, faulted bool) float64 {
+		p := NCube2(port)
+		return testing.AllocsPerRun(50, func() {
+			s := NewSession(p, cube, Instrumentation{})
+			if faulted {
+				s.SetFaults(inj)
+			}
+			s.InjectTree(0, tr, 4096, nil)
+			if err := s.Run(0, 0); err != nil {
+				t.Fatal(err)
+			}
+			s.Release()
+		})
+	}
+	for _, faulted := range []bool{false, true} {
+		all, one := allocs(core.AllPort, faulted), allocs(core.OnePort, faulted)
+		t.Logf("faulted=%v: all-port %v, one-port %v allocs/run", faulted, all, one)
+		if one > all {
+			t.Errorf("faulted=%v: one-port multicast %v allocs/run, all-port %v", faulted, one, all)
+		}
 	}
 }

@@ -73,14 +73,14 @@ func RunDistributed(jp JitterParams, cube topology.Cube, a core.Algorithm, src t
 			q.After(jitter(jp.TStartup), func() {
 				switch jp.Port {
 				case core.AllPort:
-					net.Send(snd.From, snd.To, bytes, deliver(snd.Payload))
+					net.Send(snd.From, snd.To, bytes, wormhole.DeliverFunc(deliver(snd.Payload)))
 					issue(i + 1)
 				case core.OnePort:
 					cb := deliver(snd.Payload)
-					net.Send(snd.From, snd.To, bytes, func(d wormhole.Delivery) {
+					net.Send(snd.From, snd.To, bytes, wormhole.DeliverFunc(func(d wormhole.Delivery) {
 						cb(d)
 						issue(i + 1)
-					})
+					}))
 				}
 			})
 		}

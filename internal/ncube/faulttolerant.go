@@ -248,16 +248,27 @@ func (r *ftRun) after(d event.Time, fn func()) {
 // nothing — a wedged op is the watchdog's business, exactly as standalone).
 func (r *ftRun) send(from, to topology.NodeID, size int, done func(wormhole.Delivery)) {
 	if r.onDone == nil {
-		r.net.Send(from, to, size, done)
+		r.net.Send(from, to, size, wormhole.DeliverFunc(done))
 		return
 	}
 	r.outstanding++
-	r.net.SendTracked(from, to, size, func(d wormhole.Delivery) {
-		r.res.TotalBlocked += d.Blocked // per-op blocking on the shared net
-		done(d)
-		r.settle()
-	}, r.settle)
+	r.net.Send(from, to, size, &ftSend{r: r, done: done})
 }
+
+// ftSend is a session-mode protocol message's receiver: either fate
+// settles the op's outstanding count.
+type ftSend struct {
+	r    *ftRun
+	done func(wormhole.Delivery)
+}
+
+func (f *ftSend) Deliver(d wormhole.Delivery) {
+	f.r.res.TotalBlocked += d.Blocked // per-op blocking on the shared net
+	f.done(d)
+	f.r.settle()
+}
+
+func (f *ftSend) Lose(_, _ topology.NodeID) { f.r.settle() }
 
 func (r *ftRun) settle() {
 	r.outstanding--

@@ -52,7 +52,7 @@ func RunParallel(p Params, trees []*core.Tree, bytes int, ins Instrumentation) [
 		s := NewSession(p, tr.Cube, ins)
 		ops[i] = s.InjectTree(0, tr, bytes, nil)
 		s.q.SetDiagnoser(s.diagFn)
-		pq.Add(s.Queue())
+		pq.Add(&s.q)
 		sessions[i] = s
 	}
 	ins.Metrics.Counter("mcast_runs").Add(int64(len(trees)))

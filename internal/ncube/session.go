@@ -28,22 +28,30 @@ type Session struct {
 	ins    Instrumentation
 	diagFn func() string // s.Diagnose, bound once per pooled session
 
-	// faulted is set by SetFaults: injection paths switch to loss-tracked
-	// sends (per-send closures) only when a fault model is installed, so
-	// fault-free scenarios keep the allocation-free hot path bit-for-bit.
-	faulted bool
 	// extraDiag, when set, is appended to the network diagnoser's output
 	// on a watchdog trip (the traffic engine contributes faulted arcs and
 	// per-op progress).
 	extraDiag func() string
 
 	// ops and nodes are the slabs every InjectTree carves its treeOp and
-	// dense node table from. They survive Release cleared and truncated,
-	// so a pooled session executes trees without per-op allocations
-	// beyond the result's Recv map.
+	// dense node table from, and steps the slab step programs carve their
+	// messages from. They survive Release cleared and truncated, so a
+	// pooled session executes trees and collectives without per-message
+	// allocations.
 	ops   []treeOp
 	nodes []opNode
+	steps []Step
+
+	// block is the session's payload block (see Payload), lent to at
+	// most one borrower at a time; it survives Release.
+	block     []float64
+	blockBusy bool
 }
+
+// MaxPayloadBlock is the largest payload, in elements (8 MiB), a session
+// keeps across runs. Larger borrows get heap that the session never
+// keeps, so a pooled session retains at most this much payload memory.
+const MaxPayloadBlock = 1 << 20
 
 var sessionPool = sync.Pool{New: func() any { return new(Session) }}
 
@@ -67,7 +75,7 @@ func (s *Session) bind(p Params, cube topology.Cube, ins Instrumentation) *Sessi
 		s.net.Reset(&s.q, cube, cfg)
 	}
 	s.p, s.ins = p, ins
-	s.faulted, s.extraDiag = false, nil // net.Reset detached the fault model
+	s.extraDiag = nil
 	if ins.Tracer != nil {
 		s.net.SetTracer(ins.Tracer)
 	}
@@ -77,9 +85,6 @@ func (s *Session) bind(p Params, cube topology.Cube, ins Instrumentation) *Sessi
 	}
 	return s
 }
-
-// Queue exposes the shared event calendar.
-func (s *Session) Queue() *event.Queue { return &s.q }
 
 // Network exposes the shared interconnect.
 func (s *Session) Network() *wormhole.Network { return s.net }
@@ -95,10 +100,7 @@ func (s *Session) Now() event.Time { return s.q.Now() }
 // survives the session: NewSession resets the network's fault model, and
 // Release detaches it again so a recycled session cannot leak faults into
 // its next borrower.
-func (s *Session) SetFaults(f wormhole.FaultModel) {
-	s.net.SetFaults(f)
-	s.faulted = f != nil
-}
+func (s *Session) SetFaults(f wormhole.FaultModel) { s.net.SetFaults(f) }
 
 // SetExtraDiagnoser appends fn's output to the watchdog diagnostics of a
 // wedged run, after the network's held-channel snapshot (nil removes it).
@@ -132,8 +134,9 @@ func (s *Session) Run(maxSteps int, maxTime event.Time) error {
 // (and again by NewSession's network reset) so a recycled session starts
 // fault-free even if its previous scenario was faulted, and the slabs are
 // cleared so they retain no trees or results: every *Result InjectTree
-// returned is invalid from here on. Callers skip Release when the run
-// panicked — a half-torn-down session must not be reused.
+// returned is invalid from here on. The payload block is kept and marked
+// free, so a payload still borrowed is invalid too. Callers skip Release
+// when the run panicked — a half-torn-down session must not be reused.
 func (s *Session) Release() {
 	s.scrub()
 	sessionPool.Put(s)
@@ -145,15 +148,42 @@ func (s *Session) scrub() {
 	s.q.Reset()
 	s.ins = Instrumentation{}
 	s.net.SetFaults(nil)
-	s.faulted = false
 	s.extraDiag = nil
-	for i := range s.ops {
-		// A slot's bound deliver callback stays valid for its next op.
-		s.ops[i] = treeOp{deliverFn: s.ops[i].deliverFn}
-	}
+	clear(s.ops)
 	s.ops = s.ops[:0]
 	clear(s.nodes)
 	s.nodes = s.nodes[:0]
+	clear(s.steps)
+	s.steps = s.steps[:0]
+	if cap(s.steps) > maxKeptSteps {
+		s.steps = nil
+	}
+	s.blockBusy = false
+}
+
+// Payload borrows an n-element vector for a data collective's input: the
+// session's payload block when it is free and n is at most
+// MaxPayloadBlock (grown to exactly n if it is smaller), otherwise fresh
+// heap. The contents are unspecified. Hand it back with ReturnPayload
+// once nothing reads it any more.
+func (s *Session) Payload(n int) []float64 {
+	if s.blockBusy || n == 0 || n > MaxPayloadBlock {
+		return make([]float64, n)
+	}
+	if cap(s.block) < n {
+		s.block = make([]float64, n)
+	}
+	s.blockBusy = true
+	return s.block[:n]
+}
+
+// ReturnPayload hands back a vector Payload lent out. Returning the
+// session's block frees it for the next borrower; heap vectors are simply
+// dropped.
+func (s *Session) ReturnPayload(b []float64) {
+	if cap(b) > 0 && cap(s.block) > 0 && &b[:1][0] == &s.block[:1][0] {
+		s.blockBusy = false
+	}
 }
 
 // carve hands out the next n entries of a session slab. When the slab is
@@ -209,9 +239,10 @@ func (ot *opTable) state(op *treeOp, v topology.NodeID) *opNode {
 
 // treeOp is one multicast tree executing inside a Session. It is its own
 // injection event: scheduled with AtOp, its RunEvent starts the root's
-// first send at the op's injection instant. Node software states are
-// per-op: a processor can participate in several concurrent collectives,
-// one handler per message tag.
+// first send at the op's injection instant. It is also the
+// wormhole.Receiver of every unicast it sends, so no send allocates.
+// Node software states are per-op: a processor can participate in
+// several concurrent collectives, one handler per message tag.
 type treeOp struct {
 	s        *Session
 	src      topology.NodeID
@@ -222,10 +253,6 @@ type treeOp struct {
 	res      Result
 	done     func(*Result)
 	nodes    opTable
-
-	// deliver bound once per slab slot, so neither an op nor its
-	// all-port sends allocate a closure.
-	deliverFn func(wormhole.Delivery)
 }
 
 // opNode is one node's role inside one treeOp — the node's software and
@@ -267,9 +294,6 @@ func (st *opNode) RunEvent() {
 // last unicast — on the shared calendar.
 func (s *Session) InjectTree(at event.Time, tr *core.Tree, bytes int, done func(*Result)) *Result {
 	op := &carve(&s.ops, 1)[0]
-	if op.deliverFn == nil {
-		op.deliverFn = op.deliver
-	}
 	op.s, op.src, op.bytes, op.done = s, tr.Source, bytes, done
 	if n := tr.Cube.Nodes(); n <= denseNodeLimit {
 		op.nodes.dense = carve(&s.nodes, n)
@@ -315,68 +339,24 @@ func (op *treeOp) issueNext(st *opNode) {
 	op.s.q.AfterOp(op.s.p.TStartup, st)
 }
 
-// setupDone injects the unicast whose CPU setup just completed.
+// setupDone injects the unicast whose CPU setup just completed. The
+// all-port model issues the node's next send at once; the one-port model
+// waits for this one's fate (see Deliver and Lose).
 func (op *treeOp) setupDone(st *opNode) {
 	snd := st.sends[st.next-1]
-	if op.s.faulted {
-		// Loss-tracked sends: a destroyed message strands the whole
-		// subtree behind its target, which must be written off or the
-		// op (and the scenario behind it) would wait forever.
-		switch op.s.p.Port {
-		case core.AllPort:
-			op.s.net.SendTracked(snd.From, snd.To, op.bytes, op.deliverFn,
-				func() { op.lose(snd.To) })
-			op.issueNext(st)
-		case core.OnePort:
-			op.s.net.SendTracked(snd.From, snd.To, op.bytes, func(d wormhole.Delivery) {
-				op.deliver(d)
-				op.issueNext(st)
-			}, func() {
-				// The port frees when the message dies, exactly as on
-				// a delivery: the node's later sends still go out.
-				op.lose(snd.To)
-				op.issueNext(st)
-			})
-		}
-		return
-	}
-	switch op.s.p.Port {
-	case core.AllPort:
-		op.s.net.Send(snd.From, snd.To, op.bytes, op.deliverFn)
+	op.s.net.Send(snd.From, snd.To, op.bytes, op)
+	if op.s.p.Port == core.AllPort {
 		op.issueNext(st)
-	case core.OnePort:
-		op.s.net.Send(snd.From, snd.To, op.bytes, func(d wormhole.Delivery) {
-			op.deliver(d)
-			op.issueNext(st)
-		})
 	}
 }
 
-// lose writes off the subtree rooted at the target of a destroyed unicast:
-// the node never receives, so it never forwards, and every delivery its
-// subtree owed the op will never happen. Decrementing expected by the
-// stranded count keeps the op's completion accounting exact under drop
-// faults (stall faults wedge instead and are the watchdog's business).
-func (op *treeOp) lose(to topology.NodeID) {
-	op.strand(to)
-	if op.expected == 0 && op.done != nil {
-		op.done(&op.res)
-	}
-}
-
-func (op *treeOp) strand(v topology.NodeID) {
-	op.expected--
-	op.lost++
-	for _, snd := range op.nodes.state(op, v).sends {
-		op.strand(snd.To)
-	}
-}
-
-// deliver records one completed unicast in op-relative time and starts the
-// receiver's software overhead. The op's done hook fires when the last
-// outstanding delivery lands — i.e. at the makespan instant (the final
-// receiver's residual TRecv is not part of the multicast delay).
-func (op *treeOp) deliver(d wormhole.Delivery) {
+// Deliver records one completed unicast in op-relative time and starts
+// the receiver's software overhead; under the one-port model it then
+// frees the sender's port for its next send. The op's done hook fires
+// when the last outstanding delivery lands — i.e. at the makespan instant
+// (the final receiver's residual TRecv is not part of the multicast
+// delay).
+func (op *treeOp) Deliver(d wormhole.Delivery) {
 	rel := d.Arrived - op.start
 	if _, dup := op.res.Recv[d.To]; dup {
 		panic(fmt.Sprintf("ncube: node %v received op payload twice", d.To))
@@ -392,5 +372,34 @@ func (op *treeOp) deliver(d wormhole.Delivery) {
 	op.expected--
 	if op.expected == 0 && op.done != nil {
 		op.done(&op.res)
+	}
+	if op.s.p.Port == core.OnePort {
+		op.issueNext(op.nodes.state(op, d.From))
+	}
+}
+
+// Lose writes off the subtree rooted at the target of a destroyed
+// unicast: the node never receives, so it never forwards, and every
+// delivery its subtree owed the op will never happen. Decrementing
+// expected by the stranded count keeps the op's completion accounting
+// exact under drop faults (stall faults wedge instead and are the
+// watchdog's business); without it the op, and the scenario behind it,
+// would wait forever. The port frees when the message dies, exactly as on
+// a delivery: the node's later sends still go out.
+func (op *treeOp) Lose(from, to topology.NodeID) {
+	op.strand(to)
+	if op.expected == 0 && op.done != nil {
+		op.done(&op.res)
+	}
+	if op.s.p.Port == core.OnePort {
+		op.issueNext(op.nodes.state(op, from))
+	}
+}
+
+func (op *treeOp) strand(v topology.NodeID) {
+	op.expected--
+	op.lost++
+	for _, snd := range op.nodes.state(op, v).sends {
+		op.strand(snd.To)
 	}
 }

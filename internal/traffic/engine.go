@@ -385,28 +385,23 @@ func (e *engine) start(i int) {
 	}
 }
 
-// startData launches a data-carrying op: synthesize the seeded per-node
-// input vectors, run the payload schedule on the shared session (which
-// consumes them in place), and — at the instant the collective completes,
-// before the op is marked done — verify the delivered data element by
-// element against the analytic expectation: a column sum taken before the
-// launch for the reductions, the input re-streamed from its seed for the
-// all-to-all. A mismatch fails the whole run: wrong data is a scheduling
-// bug, not a statistic.
+// startData launches a data-carrying op through
+// collective.LaunchVerified: seeded per-node input vectors in the
+// session's payload block, verified element by element at the instant the
+// collective completes, before the op is marked done. A mismatch fails
+// the whole run: wrong data is a scheduling bug, not a statistic.
 func (e *engine) startData(i int, base func(collective.Result)) {
 	st := &e.ops[i]
-	nodes := e.cube.Nodes()
-	seed, elems := e.spec.PayloadSeed(st.op), nodes*st.op.BlockElems()
-	in := collective.RandomData(seed, nodes, elems)
-	var want [][]float64
-	var dr *collective.DataResult
-	done := func(r collective.Result) {
-		var err error
-		if want != nil {
-			err = collective.VerifyData(dr.Data, want)
-		} else {
-			err = collective.VerifyAllToAllSeeded(dr.Data, seed, nodes, elems)
-		}
+	op := collective.OpAllToAll
+	switch {
+	case st.op.Kind == KindReduceScatter:
+		op = collective.OpReduceScatter
+	case st.op.Kind == KindAllReduce && st.op.Algorithm == "ring":
+		op = collective.OpAllReduceRing
+	case st.op.Kind == KindAllReduce:
+		op = collective.OpAllReduceHD
+	}
+	collective.LaunchVerified(e.ses, op, e.spec.PayloadSeed(st.op), st.op.BlockElems(), func(r collective.Result, err error) {
 		if err != nil {
 			if e.dataErr == nil {
 				e.dataErr = fmt.Errorf("traffic: op %q payload verification failed: %w", st.op.ID, err)
@@ -415,21 +410,7 @@ func (e *engine) startData(i int, base func(collective.Result)) {
 			st.dataOK = true
 		}
 		base(r)
-	}
-	switch st.op.Kind {
-	case KindReduceScatter:
-		want = collective.ExpectedReduceScatter(in)
-		dr = collective.ReduceScatterOn(e.ses, in, 0, done)
-	case KindAllReduce:
-		want = collective.ExpectedAllReduce(in)
-		if st.op.Algorithm == "ring" {
-			dr = collective.AllReduceRingOn(e.ses, in, 0, done)
-		} else {
-			dr = collective.AllReduceHDOn(e.ses, in, 0, done)
-		}
-	case KindAllToAll:
-		dr = collective.AllToAllOn(e.ses, in, done)
-	}
+	})
 }
 
 // oracle returns the fail-stop oracle the fault-tolerant protocol should

@@ -1,7 +1,9 @@
 package traffic
 
 import (
+	"crypto/sha256"
 	"encoding/json"
+	"fmt"
 	"strings"
 	"testing"
 
@@ -317,5 +319,39 @@ func TestDataAliasingWall(t *testing.T) {
 				t.Errorf("lanes=%d: workers=%d result differs from workers=1", lanes, workers)
 			}
 		}
+	}
+}
+
+// Data ops all occupy node 0's injector, so ops arriving together queue
+// and each starts at the instant its predecessor completes, from inside
+// that completion. Each must still verify, and the whole result must stay
+// byte-identical to its pinned digest.
+func TestQueuedDataOpsDigest(t *testing.T) {
+	spec := &Spec{Dim: 4, Seed: 21, Ops: []Op{
+		{Kind: KindAllToAll, Bytes: 64, Seed: 1},
+		{Kind: KindAllReduce, Algorithm: "hd", Bytes: 128, Seed: 2},
+		{Kind: KindReduceScatter, Bytes: 64, Seed: 3},
+		{Kind: KindAllReduce, Algorithm: "ring", Bytes: 64, Seed: 4},
+		{Kind: KindAllToAll, Bytes: 32, Seed: 5, AtUS: 40},
+	}}
+	res, err := Run(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, op := range res.Ops {
+		if !op.DataVerified {
+			t.Errorf("op %s: data not verified", op.ID)
+		}
+		if i > 0 && op.StartNS != res.Ops[i-1].FinishNS {
+			t.Errorf("op %s starts at %d, not at its predecessor's finish %d", op.ID, op.StartNS, res.Ops[i-1].FinishNS)
+		}
+	}
+	b, err := json.Marshal(res)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const want = "3cf770ffe776cf095b96ac8aa624ad7da84e7aa5d45ff069af31a2d4994094c9"
+	if got := fmt.Sprintf("%x", sha256.Sum256(b)); got != want {
+		t.Errorf("result digest %s, want %s", got, want)
 	}
 }

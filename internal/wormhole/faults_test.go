@@ -22,7 +22,7 @@ func TestFaultyLinkDropsMessage(t *testing.T) {
 	arc := topology.Arc{From: 0, Dim: 2} // first hop of 0 -> 4 under HighToLow on a 3-cube
 	q, net, _ := faultyNet(3, faults.Plan{Links: []faults.LinkFault{{Arc: arc}}})
 	delivered := false
-	net.Send(0, 4, size, func(Delivery) { delivered = true })
+	net.Send(0, 4, size, DeliverFunc(func(Delivery) { delivered = true }))
 	q.MustRun(0, 0)
 	if delivered {
 		t.Fatal("message crossed a dead link")
@@ -44,8 +44,8 @@ func TestTransientLinkWindow(t *testing.T) {
 	}})
 	var got []topology.NodeID
 	rec := func(d Delivery) { got = append(got, d.To) }
-	net.Send(0, 4, size, rec) // at t=0: inside the window, lost
-	q.At(20*event.Microsecond, func() { net.Send(0, 4, size, rec) })
+	net.Send(0, 4, size, DeliverFunc(rec)) // at t=0: inside the window, lost
+	q.At(20*event.Microsecond, func() { net.Send(0, 4, size, DeliverFunc(rec)) })
 	q.MustRun(0, 0)
 	if len(got) != 1 {
 		t.Fatalf("deliveries = %v, want exactly the post-repair send", got)
@@ -65,9 +65,9 @@ func TestStalledLinkWedgesAndDiagnoses(t *testing.T) {
 		Links: []faults.LinkFault{{Arc: topology.Arc{From: 4, Dim: 1}}},
 	})
 	delivered := 0
-	net.Send(0, 6, size, func(Delivery) { delivered++ })
+	net.Send(0, 6, size, DeliverFunc(func(Delivery) { delivered++ }))
 	// A second message needing the held first channel queues forever.
-	net.Send(0, 4, size, func(Delivery) { delivered++ })
+	net.Send(0, 4, size, DeliverFunc(func(Delivery) { delivered++ }))
 	q.MustRun(0, 0)
 	if delivered != 0 {
 		t.Fatalf("delivered %d messages through a wedged network", delivered)
@@ -96,9 +96,9 @@ func TestDeadEndpoints(t *testing.T) {
 	q, net, _ := faultyNet(3, faults.Plan{Nodes: []faults.NodeFault{{Node: 5, At: 0}}})
 	delivered := 0
 	rec := func(Delivery) { delivered++ }
-	net.Send(5, 0, size, rec) // dead source
-	net.Send(0, 5, size, rec) // dead destination
-	net.Send(0, 3, size, rec) // unaffected pair
+	net.Send(5, 0, size, DeliverFunc(rec)) // dead source
+	net.Send(0, 5, size, DeliverFunc(rec)) // dead destination
+	net.Send(0, 3, size, DeliverFunc(rec)) // unaffected pair
 	q.MustRun(0, 0)
 	if delivered != 1 {
 		t.Fatalf("delivered = %d, want only 0->3", delivered)
@@ -116,9 +116,9 @@ func TestNodeCrashMidRun(t *testing.T) {
 	crash := 1 * event.Millisecond // past the ~514us first arrival
 	q, net, _ := faultyNet(3, faults.Plan{Nodes: []faults.NodeFault{{Node: 1, At: crash}}})
 	delivered := 0
-	net.Send(0, 1, size, func(Delivery) { delivered++ }) // arrives before crash
+	net.Send(0, 1, size, DeliverFunc(func(Delivery) { delivered++ })) // arrives before crash
 	q.At(crash, func() {
-		net.Send(0, 1, size, func(Delivery) { delivered++ }) // after: lost
+		net.Send(0, 1, size, DeliverFunc(func(Delivery) { delivered++ })) // after: lost
 	})
 	q.MustRun(0, 0)
 	if delivered != 1 || net.Lost() != 1 {
@@ -132,7 +132,7 @@ func TestMessageFateDropAndTruncate(t *testing.T) {
 	full, truncated := 0, 0
 	for i := 0; i < 200; i++ {
 		to := topology.NodeID(1 + i%15)
-		net.Send(0, to, size, func(d Delivery) {
+		net.Send(0, to, size, DeliverFunc(func(d Delivery) {
 			if d.Truncated {
 				truncated++
 				if d.Bytes >= size {
@@ -144,7 +144,7 @@ func TestMessageFateDropAndTruncate(t *testing.T) {
 					t.Errorf("full delivery carries %d bytes", d.Bytes)
 				}
 			}
-		})
+		}))
 	}
 	q.MustRun(0, 0)
 	if in.Drops() == 0 || truncated == 0 || full == 0 {

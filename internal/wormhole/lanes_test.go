@@ -36,8 +36,8 @@ func TestLanesRelieveSharedChannelContention(t *testing.T) {
 			q, net = newLaneNet(3, lanes, vc.RoundRobin)
 		}
 		var got []Delivery
-		net.Send(0, 1, size, func(d Delivery) { got = append(got, d) })
-		net.Send(0, 1, size, func(d Delivery) { got = append(got, d) })
+		net.Send(0, 1, size, DeliverFunc(func(d Delivery) { got = append(got, d) }))
+		net.Send(0, 1, size, DeliverFunc(func(d Delivery) { got = append(got, d) }))
 		q.MustRun(0, 0)
 		if len(got) != 2 {
 			t.Fatalf("%d lanes: %d deliveries", lanes, len(got))
@@ -66,7 +66,7 @@ func sendSpaced(q *event.Queue, net *Network, count int) {
 	gap := 2 * (1*hop + event.Time(size)*byt)
 	for i := 0; i < count; i++ {
 		at := event.Time(i) * gap
-		q.At(at, func() { net.Send(0, 1, size, func(Delivery) {}) })
+		q.At(at, func() { net.Send(0, 1, size, DeliverFunc(func(Delivery) {})) })
 	}
 }
 
@@ -118,8 +118,8 @@ func TestEscapePolicyReservesLaneZero(t *testing.T) {
 	}
 
 	q2, net2 := newLaneNet(3, 2, vc.Escape)
-	net2.Send(0, 1, size, func(Delivery) {})
-	net2.Send(0, 1, size, func(Delivery) {})
+	net2.Send(0, 1, size, DeliverFunc(func(Delivery) {}))
+	net2.Send(0, 1, size, DeliverFunc(func(Delivery) {}))
 	q2.MustRun(0, 0)
 	acq = laneAcquires(t, net2, 2)
 	if acq[0] != 1 || acq[1] != 1 {
@@ -137,8 +137,8 @@ func TestDeadArcKillsAllLanes(t *testing.T) {
 	})
 	net.SetFaults(faults.New(faults.Plan{Links: []faults.LinkFault{{Arc: arc}}}))
 	delivered := 0
-	net.Send(0, 4, size, func(Delivery) { delivered++ })
-	net.Send(0, 4, size, func(Delivery) { delivered++ })
+	net.Send(0, 4, size, DeliverFunc(func(Delivery) { delivered++ }))
+	net.Send(0, 4, size, DeliverFunc(func(Delivery) { delivered++ }))
 	q.MustRun(0, 0)
 	if delivered != 0 || net.Lost() != 2 {
 		t.Fatalf("delivered=%d lost=%d across a dead arc, want 0/2", delivered, net.Lost())
@@ -169,8 +169,8 @@ func TestStallWedgesOnlyItsLane(t *testing.T) {
 		Links: []faults.LinkFault{{Arc: topology.Arc{From: 4, Dim: 1}}},
 	}))
 	delivered := 0
-	net.Send(0, 6, size, func(Delivery) { t.Fatal("delivered through a stalled link") })
-	net.Send(0, 4, size, func(Delivery) { delivered++ })
+	net.Send(0, 6, size, DeliverFunc(func(Delivery) { t.Fatal("delivered through a stalled link") }))
+	net.Send(0, 4, size, DeliverFunc(func(Delivery) { delivered++ }))
 	q.MustRun(0, 0)
 	if delivered != 1 {
 		t.Fatalf("delivered = %d, want the spare-lane message through", delivered)

@@ -102,7 +102,33 @@ type ArcStallModel interface {
 	StallOnArc(a topology.Arc, at event.Time) bool
 }
 
-// Delivery reports a completed unicast to the sender's callback.
+// Receiver takes the fate of a unicast: Deliver when its tail flit
+// arrives, Lose when the fault model destroys it. Exactly one of them
+// fires per message, except for stall-wedged messages, which fire neither
+// (they hold their channels forever; the watchdog reports them). A
+// pointer converts to a Receiver without allocating, so protocol layers
+// implement it on state they already own instead of allocating a closure
+// per send.
+type Receiver interface {
+	Deliver(Delivery)
+	// Lose fires at the instant the message is destroyed — a dead
+	// source, a dropped failed-link crossing, an in-transit drop, or a
+	// dead destination — so a protocol accounting for outstanding
+	// deliveries on a shared calendar can settle instead of waiting
+	// forever.
+	Lose(from, to topology.NodeID)
+}
+
+// DeliverFunc adapts a delivery closure to Receiver; it ignores losses.
+type DeliverFunc func(Delivery)
+
+// Deliver calls f.
+func (f DeliverFunc) Deliver(d Delivery) { f(d) }
+
+// Lose does nothing: a closure receiver does not track losses.
+func (DeliverFunc) Lose(_, _ topology.NodeID) {}
+
+// Delivery reports a completed unicast to the sender's receiver.
 type Delivery struct {
 	From, To topology.NodeID
 	Bytes    int
@@ -137,10 +163,9 @@ type message struct {
 	injected event.Time
 	blocked  event.Time
 	waitFrom event.Time // when the current wait began
-	done     func(Delivery)
-	lost     func() // optional loss notification (SendTracked)
-	drop     bool   // fault injection: lost in transit
-	truncate int    // fault injection: deliver only this prefix (< 0: full)
+	rcv      Receiver   // nil: nobody is told the message's fate
+	drop     bool       // fault injection: lost in transit
+	truncate int        // fault injection: deliver only this prefix (< 0: full)
 	// lanes[i] is the lane acquired at path[i]; populated (in step with
 	// idx) only on multi-lane networks, so the single-lane hot path never
 	// touches it.
@@ -516,22 +541,12 @@ func (n *Network) Diagnose() string {
 	return s
 }
 
-// Send injects a unicast of the given size at the current simulated time;
-// done (optional) is invoked when the tail flit arrives at the destination.
-// Sending to oneself delivers after the pipeline drain time without
-// touching the network.
-func (n *Network) Send(from, to topology.NodeID, bytes int, done func(Delivery)) {
-	n.SendTracked(from, to, bytes, done, nil)
-}
-
-// SendTracked is Send with a loss notification: lost (optional) fires at
-// the instant the fault model destroys the message — a dead source, a
-// dropped failed-link crossing, an in-transit drop, or a dead destination
-// — so protocol layers accounting for outstanding deliveries on a shared
-// calendar can settle instead of waiting forever. Exactly one of done and
-// lost fires per message, except for stall-wedged messages, which fire
-// neither (they hold their channels forever; the watchdog reports them).
-func (n *Network) SendTracked(from, to topology.NodeID, bytes int, done func(Delivery), lost func()) {
+// Send injects a unicast of the given size at the current simulated time
+// and tells r (optional) its fate: r.Deliver when the tail flit arrives at
+// the destination, r.Lose if the fault model destroys it. Sending to
+// oneself delivers after the pipeline drain time without touching the
+// network.
+func (n *Network) Send(from, to topology.NodeID, bytes int, r Receiver) {
 	n.cube.MustContain(from)
 	n.cube.MustContain(to)
 	if bytes < 0 {
@@ -542,8 +557,8 @@ func (n *Network) SendTracked(from, to topology.NodeID, bytes int, done func(Del
 		if n.mLost != nil {
 			n.mLost.Inc()
 		}
-		if lost != nil {
-			lost()
+		if r != nil {
+			r.Lose(from, to)
 		}
 		return
 	}
@@ -554,8 +569,7 @@ func (n *Network) SendTracked(from, to topology.NodeID, bytes int, done func(Del
 	m.lanes = m.lanes[:0]
 	m.injected = n.q.Now()
 	m.blocked, m.waitFrom = 0, 0
-	m.done = done
-	m.lost = lost
+	m.rcv = r
 	m.drop, m.truncate = false, -1
 	m.net = n
 	if n.faults != nil {
@@ -634,8 +648,7 @@ func (n *Network) LaneStats() []LaneStat {
 // could alias it — channel owners, waiter queues, the calendar — has
 // already dropped its reference; the path scratch rides along for reuse.
 func (n *Network) recycle(m *message) {
-	m.done = nil
-	m.lost = nil
+	m.rcv = nil
 	m.net = nil
 	msgPool.Put(m)
 }
@@ -658,16 +671,8 @@ func (n *Network) tryAcquire(m *message) {
 		}
 		// Fail-fast router: the message vanishes and frees its tail.
 		n.releasePrefix(m, m.idx)
-		n.lost++
 		n.inflight--
-		if n.mLost != nil {
-			n.mLost.Inc()
-		}
-		lost := m.lost
-		n.recycle(m)
-		if lost != nil {
-			lost()
-		}
+		n.lose(m)
 		return
 	}
 	if !n.multi {
@@ -838,15 +843,7 @@ func (n *Network) releasePrefix(m *message, upto int) {
 func (n *Network) complete(m *message) {
 	n.inflight--
 	if n.faults != nil && (m.drop || n.faults.NodeDown(m.to, n.q.Now())) {
-		n.lost++ // lost in transit, or nobody alive to consume it
-		if n.mLost != nil {
-			n.mLost.Inc()
-		}
-		lost := m.lost
-		n.recycle(m)
-		if lost != nil {
-			lost()
-		}
+		n.lose(m) // lost in transit, or nobody alive to consume it
 		return
 	}
 	n.delivered++
@@ -854,12 +851,12 @@ func (n *Network) complete(m *message) {
 	if n.mDeliv != nil {
 		n.mDeliv.Inc()
 	}
-	if m.done != nil {
+	if m.rcv != nil {
 		bytes, trunc := m.bytes, false
 		if m.truncate >= 0 && m.truncate < m.bytes {
 			bytes, trunc = m.truncate, true
 		}
-		m.done(Delivery{
+		m.rcv.Deliver(Delivery{
 			From:      m.from,
 			To:        m.to,
 			Bytes:     bytes,
@@ -871,6 +868,20 @@ func (n *Network) complete(m *message) {
 		})
 	}
 	n.recycle(m)
+}
+
+// lose counts a destroyed message, recycles it, and then tells its
+// receiver.
+func (n *Network) lose(m *message) {
+	n.lost++
+	if n.mLost != nil {
+		n.mLost.Inc()
+	}
+	r, from, to := m.rcv, m.from, m.to
+	n.recycle(m)
+	if r != nil {
+		r.Lose(from, to)
+	}
 }
 
 // Idle reports whether every channel is free — true between operations and

@@ -24,7 +24,7 @@ func newNet(n int) (*event.Queue, *Network) {
 func TestUncontendedLatency(t *testing.T) {
 	q, net := newNet(4)
 	var got []Delivery
-	net.Send(0b0000, 0b0001, size, func(d Delivery) { got = append(got, d) })
+	net.Send(0b0000, 0b0001, size, DeliverFunc(func(d Delivery) { got = append(got, d) }))
 	q.MustRun(0, 0)
 	if len(got) != 1 {
 		t.Fatalf("deliveries = %d", len(got))
@@ -39,7 +39,7 @@ func TestUncontendedLatency(t *testing.T) {
 
 	q2, net2 := newNet(4)
 	var far Delivery
-	net2.Send(0b0000, 0b1111, size, func(d Delivery) { far = d })
+	net2.Send(0b0000, 0b1111, size, DeliverFunc(func(d Delivery) { far = d }))
 	q2.MustRun(0, 0)
 	wantFar := 4*hop + event.Time(size)*byt
 	if far.Latency() != wantFar {
@@ -51,8 +51,8 @@ func TestUncontendedLatency(t *testing.T) {
 func TestParallelDisjoint(t *testing.T) {
 	q, net := newNet(4)
 	var a, b Delivery
-	net.Send(0b0000, 0b0001, size, func(d Delivery) { a = d })
-	net.Send(0b0010, 0b0011, size, func(d Delivery) { b = d })
+	net.Send(0b0000, 0b0001, size, DeliverFunc(func(d Delivery) { a = d }))
+	net.Send(0b0010, 0b0011, size, DeliverFunc(func(d Delivery) { b = d }))
 	end := q.MustRun(0, 0)
 	want := 1*hop + event.Time(size)*byt
 	if a.Latency() != want || b.Latency() != want {
@@ -72,8 +72,8 @@ func TestSerializationOnSharedChannel(t *testing.T) {
 	q, net := newNet(4)
 	var first, second Delivery
 	// Both leave node 0 on channel 3 (HighToLow: highest differing bit).
-	net.Send(0b0000, 0b1000, size, func(d Delivery) { first = d })
-	net.Send(0b0000, 0b1001, size, func(d Delivery) { second = d })
+	net.Send(0b0000, 0b1000, size, DeliverFunc(func(d Delivery) { first = d }))
+	net.Send(0b0000, 0b1001, size, DeliverFunc(func(d Delivery) { second = d }))
 	q.MustRun(0, 0)
 	drain := event.Time(size) * byt
 	if first.Arrived != hop+drain {
@@ -103,9 +103,9 @@ func TestBlockedHeaderHoldsChannels(t *testing.T) {
 	// M3: 0100 -> 1100 needs (0100,d3): blocked by M2 although M2 hasn't
 	// moved.
 	var m1, m2, m3 Delivery
-	net.Send(0b1100, 0b1000, size, func(d Delivery) { m1 = d })
-	net.Send(0b0100, 0b1000, size, func(d Delivery) { m2 = d })
-	net.Send(0b0100, 0b1100, size, func(d Delivery) { m3 = d })
+	net.Send(0b1100, 0b1000, size, DeliverFunc(func(d Delivery) { m1 = d }))
+	net.Send(0b0100, 0b1000, size, DeliverFunc(func(d Delivery) { m2 = d }))
+	net.Send(0b0100, 0b1100, size, DeliverFunc(func(d Delivery) { m3 = d }))
 	q.MustRun(0, 0)
 	drain := event.Time(size) * byt
 	if m1.Blocked != 0 {
@@ -133,8 +133,8 @@ func TestBlockedHeaderHoldsChannels(t *testing.T) {
 func TestOppositeDirectionsIndependent(t *testing.T) {
 	q, net := newNet(3)
 	var a, b Delivery
-	net.Send(0, 1, size, func(d Delivery) { a = d })
-	net.Send(1, 0, size, func(d Delivery) { b = d })
+	net.Send(0, 1, size, DeliverFunc(func(d Delivery) { a = d }))
+	net.Send(1, 0, size, DeliverFunc(func(d Delivery) { b = d }))
 	q.MustRun(0, 0)
 	if a.Blocked != 0 || b.Blocked != 0 {
 		t.Error("opposite directions should not contend")
@@ -147,9 +147,9 @@ func TestChannelFIFO(t *testing.T) {
 	var order []topology.NodeID
 	// Three messages, all needing (0000, d0) as their only channel.
 	record := func(d Delivery) { order = append(order, d.To) }
-	net.Send(0, 1, size, record)
-	net.Send(0, 1, size, record)
-	net.Send(0, 1, size, record)
+	net.Send(0, 1, size, DeliverFunc(record))
+	net.Send(0, 1, size, DeliverFunc(record))
+	net.Send(0, 1, size, DeliverFunc(record))
 	q.MustRun(0, 0)
 	if len(order) != 3 {
 		t.Fatalf("deliveries = %d", len(order))
@@ -163,7 +163,7 @@ func TestChannelFIFO(t *testing.T) {
 func TestSelfSend(t *testing.T) {
 	q, net := newNet(3)
 	var d Delivery
-	net.Send(5, 5, size, func(x Delivery) { d = x })
+	net.Send(5, 5, size, DeliverFunc(func(x Delivery) { d = x }))
 	q.MustRun(0, 0)
 	if d.Hops != 0 || d.Latency() != event.Time(size)*byt {
 		t.Errorf("self send: %+v", d)
@@ -177,7 +177,7 @@ func TestSelfSend(t *testing.T) {
 func TestZeroByteMessage(t *testing.T) {
 	q, net := newNet(3)
 	var d Delivery
-	net.Send(0, 7, 0, func(x Delivery) { d = x })
+	net.Send(0, 7, 0, DeliverFunc(func(x Delivery) { d = x }))
 	q.MustRun(0, 0)
 	if d.Latency() != 3*hop {
 		t.Errorf("latency = %v, want %v", d.Latency(), 3*hop)
@@ -212,7 +212,7 @@ func TestDeferredInjection(t *testing.T) {
 	net.Send(0b0000, 0b1000, size, nil) // holds (0,d3) until 2*hop-ish+drain
 	q.After(hop+event.Time(size)*byt, func() {
 		// Channel frees exactly now; the late message should not block.
-		net.Send(0b0000, 0b1000, size, func(d Delivery) { late = d })
+		net.Send(0b0000, 0b1000, size, DeliverFunc(func(d Delivery) { late = d }))
 	})
 	q.MustRun(0, 0)
 	if late.Blocked != 0 {

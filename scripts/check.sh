@@ -13,6 +13,9 @@ if [ -n "$fmt" ]; then
 	exit 1
 fi
 
+echo '== shell scripts (syntax)'
+bash -n scripts/abpair.sh
+
 echo '== go build'
 go build ./...
 
